@@ -5,9 +5,7 @@ padic {norm,zeros,pjf,ldl,fmt,smt,delta}, compile, check, formulas.
 
 Output is deterministic for fixed inputs; --json selects the machine
 format.  Rationals are printed as "num/den" strings, never as floats.
-Exit codes: 0 success, 1 domain error, 2 usage error.  The only
-environment variable read is BUCHI_THREADS (worker count for the search
-partition; it never changes output bytes).
+Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -22,14 +20,8 @@ from .exact import as_fraction
 from .symbolic import RatFunc
 
 
-def _rat(text: str) -> Fraction:
-    if "." in text:
-        raise ValueError(f"{text!r} looks like a float; use num/den notation")
-    return Fraction(text)
-
-
 def _rat_list(text: str) -> list[Fraction]:
-    return [_rat(part) for part in text.split(",") if part != ""]
+    return [as_fraction(part) for part in text.split(",") if part != ""]
 
 
 def _int_list(text: str) -> list[int]:
@@ -147,14 +139,14 @@ def _cmd_surface_family(args) -> int:
 
 def _cmd_padic_norm(args) -> int:
     poly = reduction.parse_poly(args.poly)
-    value = nevanlinna.gauss_log_norm(poly, args.p, _rat(args.rho))
+    value = nevanlinna.gauss_log_norm(poly, args.p, as_fraction(args.rho))
     _emit(args, {"p": args.p, "rho": args.rho, "log_norm": _s(value)}, _s(value))
     return 0
 
 
 def _cmd_padic_zeros(args) -> int:
     poly = reduction.parse_poly(args.poly)
-    rho = _rat(args.rho)
+    rho = as_fraction(args.rho)
     polygon = nevanlinna.newton_polygon(poly, args.p)
     count = nevanlinna.count_zeros(poly, args.p, rho)
     payload = {"p": args.p, "rho": args.rho, "count": count,
@@ -175,7 +167,7 @@ def _cmd_padic_pjf(args) -> int:
 
 def _cmd_padic_ldl(args) -> int:
     f = _ratfunc(args)
-    holds = nevanlinna.check_ldl(f, args.n, args.p, _rat(args.rho))
+    holds = nevanlinna.check_ldl(f, args.n, args.p, as_fraction(args.rho))
     _emit(args, {"p": args.p, "n": args.n, "rho": args.rho, "holds": holds},
           f"ldl: {'true' if holds else 'false'}")
     return 0
@@ -183,7 +175,7 @@ def _cmd_padic_ldl(args) -> int:
 
 def _cmd_padic_fmt(args) -> int:
     f = _ratfunc(args)
-    report = nevanlinna.check_fmt(f, _rat(args.a), args.p, _rat_list(args.rhos))
+    report = nevanlinna.check_fmt(f, as_fraction(args.a), args.p, _rat_list(args.rhos))
     payload = {"p": args.p, "a": args.a,
                "grid": [_s(r) for r in report.grid],
                "defects": [_s(v) for v in report.values],
@@ -219,7 +211,7 @@ def _cmd_padic_smt(args) -> int:
 def _cmd_padic_delta(args) -> int:
     f = _ratfunc(args, "f_num", "f_den")
     u = _ratfunc(args, "u_num", "u_den")
-    holds = nevanlinna.delta_identity(f, u, _rat(args.a))
+    holds = nevanlinna.delta_identity(f, u, as_fraction(args.a))
     _emit(args, {"holds": holds}, f"delta identity: {'true' if holds else 'false'}")
     return 0
 

@@ -1,5 +1,5 @@
-"""Exact integer and rational predicates used everywhere else: integer
-square roots, perfect-square tests, and p-adic valuations.
+"""Exact integer and rational predicates used everywhere else: rational
+coercion, primality, perfect-square tests, and p-adic valuations.
 
 All arithmetic in this package is arbitrary precision and exact.  Floats
 are rejected at the boundaries rather than silently converted.
@@ -8,6 +8,7 @@ are rejected at the boundaries rather than silently converted.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -57,17 +58,21 @@ class _PadicInfinity:
 
 INFINITY = _PadicInfinity()
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# psi_13: the least strong pseudoprime to every base in _SMALL_PRIMES.
+_PRIME_BOUND = 3317044064679887385961981
 
 
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every integer that fits in
-    memory (the witness set covers n < 3.3e24; beyond that the test is
-    still correct for every composite it rejects and we never need such
-    primes in practice)."""
+    """Deterministic Miller-Rabin over the prime bases 2..41, proven exact
+    for n < 3317044064679887385961981.  Raises ValueError for larger n
+    rather than guess."""
     if n < 2:
         return False
+    if n >= _PRIME_BOUND:
+        raise ValueError(f"cannot certify primality of {n} (at or above {_PRIME_BOUND})")
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
@@ -89,21 +94,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def as_fraction(x) -> Fraction:
-    """Coerce ints, Fractions and 'num/den' strings; reject floats."""
+    """Coerce ints, Fractions and strings of the form [-]digits[/digits].
+    Other strings, decimal and exponent notation included, raise
+    ValueError; floats and other types raise TypeError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str):
+        if _RATIONAL.fullmatch(x) is None:
+            raise ValueError(f"{x!r} is not an exact rational: write num/den, "
+                             "not float notation")
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
-
-
-def isqrt(n: int) -> int:
-    """Floor of the square root of a nonnegative integer, exact for
-    arbitrarily large n."""
-    if n < 0:
-        raise ValueError("isqrt of a negative integer")
-    return math.isqrt(n)
 
 
 def is_square_int(n: int) -> bool:

@@ -23,6 +23,9 @@ what makes every statement here checkable with zero tolerance.  The
 ord_0(h)*rho term follows the classical definition literally, so N is
 negative for rho < 0 when h vanishes at the origin; that sign behavior is
 intentional.
+
+Only rho changes between radii: each check computes a polynomial's
+valuations and Newton polygon once and reads every radius off them.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import as_fraction, is_prime, valuation
+from .exact import as_fraction, valuation
 from .symbolic import RatFunc, UPoly
 
 
@@ -49,25 +52,6 @@ class _AtInfinity:
 
 
 INF = _AtInfinity()
-
-
-@dataclass(frozen=True)
-class PadicContext:
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-
-
-@dataclass(frozen=True)
-class LogRadius:
-    """The ball B[p**rho]; any rational rho is a valid radius."""
-
-    rho: Fraction
-
-    def __init__(self, rho):
-        object.__setattr__(self, "rho", as_fraction(rho))
 
 
 @dataclass(frozen=True)
@@ -95,58 +79,32 @@ class NewtonPolygon:
         return sum(s.length for s in self.segments)
 
 
-def _prime_of(ctx) -> int:
-    if isinstance(ctx, PadicContext):
-        return ctx.p
-    if isinstance(ctx, int):
-        return PadicContext(ctx).p
-    raise TypeError("expected a PadicContext or a prime")
+@dataclass(frozen=True)
+class _PadicPoly:
+    """What no radius changes about a nonzero polynomial: the points
+    (k, v_p(a_k)) of its nonzero coefficients by increasing k, its order
+    at 0 and its Newton polygon."""
+
+    points: tuple[tuple[int, int], ...]
+    ord0: int
+    polygon: NewtonPolygon
+
+    def log_norm(self, rho: Fraction) -> Fraction:
+        return max(k * rho - v for k, v in self.points)
+
+    def height(self, rho: Fraction) -> Fraction:
+        total = self.ord0 * rho
+        for s in self.polygon.segments:
+            shifted = rho + s.slope
+            if shifted > 0:
+                total += s.length * shifted
+        return total
 
 
-def _rho_of(rho) -> Fraction:
-    if isinstance(rho, LogRadius):
-        return rho.rho
-    return as_fraction(rho)
-
-
-def _as_ratfunc(f) -> RatFunc:
-    if isinstance(f, RatFunc):
-        return f
-    return RatFunc(f)
-
-
-def _poly_gauss(h: UPoly, p: int, rho: Fraction) -> Fraction:
+def _padic(h: UPoly, p: int) -> _PadicPoly:
     if h.is_zero:
-        raise ValueError("Gauss norm of the zero polynomial")
-    return max(-valuation(c, p) + k * rho
-               for k, c in enumerate(h.coeffs) if c != 0)
-
-
-def gauss_log_norm(h, ctx, rho) -> Fraction:
-    """log_p of the sup norm on the ball of radius p**rho, for a UPoly or
-    a RatFunc (quotient: numerator minus denominator)."""
-    p = _prime_of(ctx)
-    r = _rho_of(rho)
-    if isinstance(h, RatFunc):
-        if h.is_zero:
-            raise ValueError("Gauss norm of the zero function")
-        return _poly_gauss(h.num, p, r) - _poly_gauss(h.den, p, r)
-    if isinstance(h, UPoly):
-        return _poly_gauss(h, p, r)
-    raise TypeError("expected a UPoly or RatFunc")
-
-
-def newton_polygon(h: UPoly, ctx) -> NewtonPolygon:
-    """Lower convex hull of (k, v_p(a_k)) over the nonzero coefficients,
-    reported as root valuations: a slope-s segment of length l means l
-    roots of valuation s (the root at 0, if any, is not part of the
-    polygon)."""
-    p = _prime_of(ctx)
-    if not isinstance(h, UPoly):
-        raise TypeError("expected a UPoly")
-    if h.is_zero:
-        raise ValueError("Newton polygon of the zero polynomial")
-    pts = [(k, valuation(c, p)) for k, c in enumerate(h.coeffs) if c != 0]
+        raise ValueError("the zero polynomial has no Gauss norm or Newton polygon")
+    pts = tuple((k, valuation(c, p)) for k, c in enumerate(h.coeffs) if c != 0)
     hull: list[tuple[int, int]] = []
     for x3, y3 in pts:
         while len(hull) >= 2:
@@ -159,39 +117,59 @@ def newton_polygon(h: UPoly, ctx) -> NewtonPolygon:
     segs = [NewtonSegment(Fraction(y1 - y2, x2 - x1), x2 - x1)
             for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
     segs.sort(key=lambda s: s.slope)
-    return NewtonPolygon(tuple(segs))
+    return _PadicPoly(pts, pts[0][0], NewtonPolygon(tuple(segs)))
 
 
-def count_zeros(h: UPoly, ctx, rho) -> int:
+def _as_ratfunc(f) -> RatFunc:
+    if isinstance(f, RatFunc):
+        return f
+    return RatFunc(f)
+
+
+def _minus(f: RatFunc, a: Fraction) -> UPoly:
+    """The numerator of f - a over the denominator f.den: f is canonical,
+    so num - a*den stays coprime to den."""
+    h = f.num - f.den * a
+    if h.is_zero:
+        raise ValueError("f equals the target identically")
+    return h
+
+
+def _log_plus(value: Fraction) -> Fraction:
+    return value if value > 0 else Fraction(0)
+
+
+def gauss_log_norm(h, p: int, rho) -> Fraction:
+    """log_p of the sup norm on the ball of radius p**rho, for a UPoly or
+    a RatFunc (quotient: numerator minus denominator)."""
+    r = as_fraction(rho)
+    if isinstance(h, RatFunc):
+        return _padic(h.num, p).log_norm(r) - _padic(h.den, p).log_norm(r)
+    if isinstance(h, UPoly):
+        return _padic(h, p).log_norm(r)
+    raise TypeError("expected a UPoly or RatFunc")
+
+
+def newton_polygon(h: UPoly, p: int) -> NewtonPolygon:
+    """Lower convex hull of (k, v_p(a_k)) over the nonzero coefficients,
+    reported as root valuations: a slope-s segment of length l means l
+    roots of valuation s (the root at 0, if any, is not part of the
+    polygon)."""
+    if not isinstance(h, UPoly):
+        raise TypeError("expected a UPoly")
+    return _padic(h, p).polygon
+
+
+def count_zeros(h: UPoly, p: int, rho) -> int:
     """Zeros of h in the closed ball of radius p**rho, with multiplicity:
     the order of vanishing at 0 plus the polygon lengths over slopes
     >= -rho (roots with |root|_p <= p**rho)."""
-    r = _rho_of(rho)
-    poly = newton_polygon(h, ctx)
+    r = as_fraction(rho)
+    poly = newton_polygon(h, p)
     return h.ord0 + sum(s.length for s in poly.segments if s.slope >= -r)
 
 
-def _height_of_poly(h: UPoly, ctx, rho: Fraction) -> Fraction:
-    poly = newton_polygon(h, ctx)
-    total = h.ord0 * rho
-    for s in poly.segments:
-        shifted = rho + s.slope
-        if shifted > 0:
-            total += s.length * shifted
-    return total
-
-
-def _target_numerator(f: RatFunc, target) -> UPoly:
-    if target is INF:
-        return f.den
-    a = as_fraction(target)
-    g = f - a
-    if g.is_zero:
-        raise ValueError("f equals the target identically")
-    return g.num
-
-
-def height_N(f, target, ctx, rho) -> Fraction:
+def height_N(f, target, p: int, rho) -> Fraction:
     """The height function N at radius p**rho, normalized at rho = 0.
 
     target 0 counts zeros of f, INF counts poles, and a rational a counts
@@ -201,39 +179,33 @@ def height_N(f, target, ctx, rho) -> Fraction:
     f = _as_ratfunc(f)
     if f.is_zero:
         raise ValueError("height of the zero function")
-    h = _target_numerator(f, target)
-    return _height_of_poly(h, ctx, _rho_of(rho))
+    h = f.den if target is INF else _minus(f, as_fraction(target))
+    return _padic(h, p).height(as_fraction(rho))
 
 
-def prox_m(f, target, ctx, rho) -> Fraction:
+def prox_m(f, target, p: int, rho) -> Fraction:
     """Proximity function: log+ of 1/|f - a| at the radius, or log+ |f|
     for the target INF."""
     f = _as_ratfunc(f)
-    r = _rho_of(rho)
+    r = as_fraction(rho)
     if target is INF:
-        value = gauss_log_norm(f, ctx, r)
-    else:
-        a = as_fraction(target)
-        g = f - a
-        if g.is_zero:
-            raise ValueError("f equals the target identically")
-        value = -gauss_log_norm(g, ctx, r)
-    return value if value > 0 else Fraction(0)
+        return _log_plus(gauss_log_norm(f, p, r))
+    h = _minus(f, as_fraction(target))
+    return _log_plus(_padic(f.den, p).log_norm(r) - _padic(h, p).log_norm(r))
 
 
-def check_pjf(f, ctx, rhos) -> Fraction:
+def check_pjf(f, p: int, rhos) -> Fraction:
     """The constant log|f| - N(f,0) + N(f,inf), checked to be the same at
     every given radius (at least two).  Raises ArithmeticError naming the
     offending radius if the values ever disagreed."""
     f = _as_ratfunc(f)
     if f.is_zero:
         raise ValueError("zero function")
-    grid = [_rho_of(r) for r in rhos]
+    grid = [as_fraction(r) for r in rhos]
     if len(grid) < 2:
         raise ValueError("need at least 2 radii")
-    constants = [gauss_log_norm(f, ctx, r)
-                 - height_N(f, 0, ctx, r)
-                 + height_N(f, INF, ctx, r)
+    num, den = _padic(f.num, p), _padic(f.den, p)
+    constants = [num.log_norm(r) - den.log_norm(r) - num.height(r) + den.height(r)
                  for r in grid]
     for r, c in zip(grid, constants):
         if c != constants[0]:
@@ -241,7 +213,7 @@ def check_pjf(f, ctx, rhos) -> Fraction:
     return constants[0]
 
 
-def check_ldl(f, n: int, ctx, rho) -> bool:
+def check_ldl(f, n: int, p: int, rho) -> bool:
     """Exact check of |f^(n)/f| <= p**(-n*rho) at the radius.  True
     vacuously when the n-th derivative vanishes identically."""
     if n < 1:
@@ -252,30 +224,22 @@ def check_ldl(f, n: int, ctx, rho) -> bool:
     fn = f.derivative(n)
     if fn.is_zero:
         return True
-    r = _rho_of(rho)
-    return gauss_log_norm(fn / f, ctx, r) <= -n * r
+    r = as_fraction(rho)
+    return gauss_log_norm(fn / f, p, r) <= -n * r
 
 
-def _kinks(h: UPoly, ctx) -> list[Fraction]:
-    return [-s.slope for s in newton_polygon(h, ctx).segments]
-
-
-def _eventual_bound(ctx, polys, log_funcs) -> Fraction:
+def _eventual_bound(polys, quotients) -> Fraction:
     """A radius beyond which every involved piecewise-linear function is
-    affine and every positive-part clip has settled."""
-    bound = Fraction(0)
-    for h in polys:
-        for k in _kinks(h, ctx):
-            if k > bound:
-                bound = k
-    for fun in log_funcs:
-        v1 = fun(bound + 1)
-        v2 = fun(bound + 2)
-        slope = v2 - v1
-        if slope != 0:
-            crossing = (bound + 1) - v1 / slope
-            if crossing > bound:
-                bound = crossing
+    affine and every positive-part clip has settled.
+
+    Past the last kink of its polygon, log|h| is the leading term's
+    deg(h)*rho - v_p(lead h), so the log-norm of a quotient h/k changes
+    sign there at most once, where those two pieces cross."""
+    bound = max([Fraction(0)] + [-s.slope for h in polys for s in h.polygon.segments])
+    for h, k in quotients:
+        (dh, vh), (dk, vk) = h.points[-1], k.points[-1]
+        if dh != dk:
+            bound = max(bound, Fraction(vh - vk, dh - dk))
     return bound
 
 
@@ -300,24 +264,22 @@ class FmtReport:
         return self.eventual_slope == 0
 
 
-def check_fmt(f, a, ctx, rhos) -> FmtReport:
+def check_fmt(f, a, p: int, rhos) -> FmtReport:
     f = _as_ratfunc(f)
     if f.is_constant:
         raise ValueError("f must be nonconstant")
     a = as_fraction(a)
-    grid = tuple(sorted(_rho_of(r) for r in rhos))
+    grid = tuple(sorted(as_fraction(r) for r in rhos))
     if not grid:
         raise ValueError("empty radius grid")
+    num, den, fa = (_padic(h, p) for h in (f.num, f.den, _minus(f, a)))
 
     def defect(r: Fraction) -> Fraction:
-        return (prox_m(f, a, ctx, r) + height_N(f, a, ctx, r)
-                - prox_m(f, INF, ctx, r) - height_N(f, INF, ctx, r))
+        # m(f, a) + N(f, a) - m(f, inf) - N(f, inf)
+        return (_log_plus(den.log_norm(r) - fa.log_norm(r)) + fa.height(r)
+                - _log_plus(num.log_norm(r) - den.log_norm(r)) - den.height(r))
 
-    fa_num = (f - a).num
-    polys = [f.num, f.den, fa_num]
-    logs = [lambda r: gauss_log_norm(f, ctx, r),
-            lambda r: gauss_log_norm(f - a, ctx, r)]
-    bound = _eventual_bound(ctx, polys, logs)
+    bound = _eventual_bound((num, den, fa), ((num, den), (fa, den)))
     values = tuple(defect(r) for r in grid)
     v1 = defect(bound + 1)
     v2 = defect(bound + 2)
@@ -348,7 +310,7 @@ class SmtReport:
         return self.eventual_slope <= 0
 
 
-def check_smt(f, targets, ctx, rhos) -> SmtReport:
+def check_smt(f, targets, p: int, rhos) -> SmtReport:
     f = _as_ratfunc(f)
     if f.is_constant:
         raise ValueError("f must be nonconstant")
@@ -357,17 +319,18 @@ def check_smt(f, targets, ctx, rhos) -> SmtReport:
         raise ValueError("targets must be distinct")
     if not ts:
         raise ValueError("need at least one target")
-    grid = tuple(sorted(_rho_of(r) for r in rhos))
+    grid = tuple(sorted(as_fraction(r) for r in rhos))
     if not grid:
         raise ValueError("empty radius grid")
+    den = _padic(f.den, p)
+    fas = [_padic(_minus(f, a), p) for a in ts]
 
     def value(r: Fraction) -> Fraction:
-        return (sum(prox_m(f, a, ctx, r) for a in ts)
-                - height_N(f, INF, ctx, r))
+        # sum_i m(f, a_i) - N(f, inf)
+        return (sum(_log_plus(den.log_norm(r) - fa.log_norm(r)) for fa in fas)
+                - den.height(r))
 
-    polys = [f.den] + [(f - a).num for a in ts]
-    logs = [(lambda r, a=a: gauss_log_norm(f - a, ctx, r)) for a in ts]
-    bound = _eventual_bound(ctx, polys, logs)
+    bound = _eventual_bound([den, *fas], [(fa, den) for fa in fas])
     values = tuple(value(r) for r in grid)
     v1 = value(bound + 1)
     v2 = value(bound + 2)

@@ -15,7 +15,6 @@ of sign-resolved tuples.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import isqrt
 
@@ -99,22 +98,23 @@ def classify_trivial(seq: BuchiSequence) -> TrivialityWitness | None:
     return None
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is None:
-        raw = os.environ.get("BUCHI_THREADS", "1")
-        try:
-            workers = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"BUCHI_THREADS must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise ValueError("worker count must be >= 1")
-    return workers
+def search(length: int, bound: int) -> list[BuchiSequence]:
+    """Exhaustively enumerate nontrivial canonical sequences of the given
+    length with 0 <= x_1, x_2 <= bound, in increasing order of (x_1, x_2).
+    """
+    if length < 3:
+        raise ValueError("length must be >= 3")
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
 
+    dbl_squares = [2 * x * x for x in range(bound + 1)]
+    # Largest forced square over every admissible pair and index.
+    max_sq = max(closed_form(0, bound * bound, n) for n in range(3, length + 1))
+    max_sq = max(max_sq, bound * bound)
+    square_set = {y * y for y in range(isqrt(max_sq) + 1)}
 
-def _search_chunk(length: int, bound: int, x1_lo: int, x1_hi: int,
-                  dbl_squares: list[int], square_set: set[int]) -> list[tuple[int, ...]]:
-    found: list[tuple[int, ...]] = []
-    for x1 in range(x1_lo, x1_hi):
+    found: list[BuchiSequence] = []
+    for x1 in range(bound + 1):
         s1 = x1 * x1
         c = 2 - s1
         # s_3 = 2 - s_1 + 2*s_2 is 2 or 3 mod 4 unless x_1, x_2 have
@@ -135,37 +135,7 @@ def _search_chunk(length: int, bound: int, x1_lo: int, x1_hi: int,
                 squares.append(sn)
             if not ok:
                 continue
-            values = tuple(isqrt(s) for s in squares[:length])
-            seq = BuchiSequence(values)
+            seq = BuchiSequence(tuple(isqrt(s) for s in squares[:length]))
             if classify_trivial(seq) is None:
-                found.append(seq.values)
+                found.append(seq)
     return found
-
-
-def search(length: int, bound: int, workers: int | None = None) -> list[BuchiSequence]:
-    """Exhaustively enumerate nontrivial canonical sequences of the given
-    length with 0 <= x_1, x_2 <= bound.
-
-    The (x_1, x_2) rectangle may be partitioned across workers (the
-    BUCHI_THREADS environment variable when the argument is None); the
-    merged, sorted output is identical for every partitioning.
-    """
-    if length < 3:
-        raise ValueError("length must be >= 3")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    workers = _worker_count(workers)
-
-    dbl_squares = [2 * x * x for x in range(bound + 1)]
-    # Largest forced square over every admissible pair and index.
-    max_sq = max(closed_form(0, bound * bound, n) for n in range(3, length + 1))
-    max_sq = max(max_sq, bound * bound)
-    square_set = {y * y for y in range(isqrt(max_sq) + 1)}
-
-    chunk = (bound + workers) // workers
-    results: list[tuple[int, ...]] = []
-    for lo in range(0, bound + 1, chunk):
-        hi = min(lo + chunk, bound + 1)
-        results.extend(_search_chunk(length, bound, lo, hi, dbl_squares, square_set))
-    results.sort()
-    return [BuchiSequence(vs) for vs in results]

@@ -425,23 +425,6 @@ class RatFunc:
         return f
 
 
-def ratfunc_arith(a: RatFunc, b: RatFunc, op: str) -> RatFunc:
-    """Field arithmetic dispatch; op is one of add, sub, mul, div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def derivative(f: RatFunc, n: int = 1) -> RatFunc:
-    return f.derivative(n)
-
-
 class MPoly:
     """Sparse multivariate polynomial over Q with named variables.
 
@@ -640,10 +623,3 @@ class MPoly:
                     term *= x ** e
             total += term
         return total
-
-
-def mpoly_identity_equal(lhs: MPoly, rhs: MPoly) -> bool:
-    """True iff lhs - rhs is the zero polynomial (same variable tuple)."""
-    if lhs.variables != rhs.variables:
-        raise ValueError("arity mismatch")
-    return (lhs - rhs).is_zero

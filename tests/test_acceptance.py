@@ -43,8 +43,7 @@ def test_criterion_01_search_length4(capsys):
         report(1, "length-4 search up to 100 finds (6,23,32,39)", t0)
 
 
-def test_criterion_02_search_length5_bound_10000(capsys, monkeypatch):
-    monkeypatch.setenv("BUCHI_THREADS", "1")
+def test_criterion_02_search_length5_bound_10000(capsys):
     t0 = time.monotonic()
     assert main(["seq", "search", "--length", "5", "--bound", "10000",
                  "--json"]) == 0

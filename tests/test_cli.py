@@ -49,14 +49,6 @@ class TestSeq:
                            "--bound", "500", "--json")
         assert payload["nontrivial"] == []
 
-    def test_thread_env_does_not_change_bytes(self, capsys, monkeypatch):
-        _, base, _ = run(capsys, "seq", "search", "--length", "4",
-                         "--bound", "80", "--json")
-        monkeypatch.setenv("BUCHI_THREADS", "3")
-        _, threaded, _ = run(capsys, "seq", "search", "--length", "4",
-                             "--bound", "80", "--json")
-        assert base == threaded
-
 
 class TestSurface:
     def test_check(self, capsys):
@@ -101,6 +93,19 @@ class TestPadic:
         code, out, _ = run(capsys, "padic", "norm", "--p", "2",
                            "--poly", "1+2*z", "--rho", "3")
         assert code == 0 and out.strip() == "2"
+
+    def test_exponent_notation_rejected(self, capsys):
+        code, out, err = run(capsys, "padic", "norm", "--p", "2", "--poly", "z",
+                             "--rho", "1e3")
+        assert code == 1 and out == "" and "float" in err
+
+    def test_composite_or_uncertified_prime_rejected(self, capsys):
+        # a strong pseudoprime to bases 2..37, then the first n the bases
+        # 2..41 cannot certify
+        for p in ("318665857834031151167461", "3317044064679887385961981"):
+            code, out, err = run(capsys, "padic", "norm", "--p", p,
+                                 "--poly", "z", "--rho", "1")
+            assert code == 1 and out == "" and "buchi: error" in err
 
     def test_zeros(self, capsys):
         payload = run_json(capsys, "padic", "zeros", "--p", "2",

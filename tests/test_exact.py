@@ -1,11 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from buchi.exact import (INFINITY, PValuation, is_prime, is_square_int,
-                         is_square_rat, isqrt, valuation, vp)
+from buchi.exact import (INFINITY, PValuation, as_fraction, is_prime,
+                         is_square_int, is_square_rat, valuation, vp)
+
+isqrt = math.isqrt
 
 
 class TestIsqrt:
@@ -100,3 +103,31 @@ class TestIsPrime:
         assert not is_prime(561)
         assert not is_prime(2 ** 32 + 1)
         assert is_prime(2 ** 61 - 1)
+
+    def test_strong_pseudoprime_to_bases_up_to_37(self):
+        n = 318665857834031151167461  # = 399165290221 * 798330580441
+        assert 399165290221 * 798330580441 == n
+        assert not is_prime(n)
+
+    def test_refuses_beyond_proven_bound(self):
+        assert not is_prime(3317044064679887385961980)
+        with pytest.raises(ValueError):
+            is_prime(3317044064679887385961981)
+        with pytest.raises(ValueError):
+            is_prime(2 ** 89 - 1)
+
+
+class TestAsFraction:
+    def test_accepted_forms(self):
+        assert as_fraction(3) == 3
+        assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)
+        assert as_fraction("-7") == -7
+        assert as_fraction("6/4") == Fraction(3, 2)
+        assert as_fraction("-1/3") == Fraction(-1, 3)
+
+    def test_rejects_other_notations(self):
+        for text in ("0.5", "1e3", "+2", " 1", "1/-2", "1_000", "", "1/"):
+            with pytest.raises(ValueError):
+                as_fraction(text)
+        with pytest.raises(TypeError):
+            as_fraction(0.5)

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from buchi.exact import valuation
-from buchi.nevanlinna import (INF, LogRadius, NewtonSegment, PadicContext,
-                              check_fmt, check_ldl, check_pjf, check_smt,
-                              count_zeros, delta_identity, difference_identity,
-                              gauss_log_norm, height_N, newton_polygon, prox_m)
+from buchi.nevanlinna import (INF, NewtonSegment, check_fmt, check_ldl,
+                              check_pjf, check_smt, count_zeros, delta_identity,
+                              difference_identity, gauss_log_norm, height_N,
+                              newton_polygon, prox_m)
 from buchi.symbolic import RatFunc, UPoly
 from helpers import rand_fraction, rand_ratfunc, rand_upoly
 
@@ -21,7 +21,7 @@ class TestGaussNorm:
         assert gauss_log_norm(h, 2, 3) == 2
         for p in (2, 3, 7):
             rho = Fraction(5, 3)
-            assert gauss_log_norm(UPoly.x(), p, LogRadius(rho)) == rho
+            assert gauss_log_norm(UPoly.x(), p, rho) == rho
 
     def test_constants_have_radius_free_norm(self):
         assert gauss_log_norm(UPoly((Fraction(9, 50),)), 5, 17) == -valuation(Fraction(9, 50), 5)
@@ -274,6 +274,94 @@ class TestSmt:
             assert report.passed
 
 
+# The first implementation's formulas, evaluated afresh at every radius:
+# f - a rebuilt as a RatFunc, the Gauss norm as a max over all
+# coefficients, N from a newly built Newton polygon, and the eventual
+# bound inferred by sampling the log-norms at bound+1 and bound+2.
+
+def _oracle_norm(h, p, rho):
+    return max(-valuation(c, p) + k * rho for k, c in enumerate(h.coeffs) if c != 0)
+
+
+def _oracle_log(g, p, rho):
+    return _oracle_norm(g.num, p, rho) - _oracle_norm(g.den, p, rho)
+
+
+def _oracle_N(f, a, p, rho):
+    h = f.den if a is INF else (f - a).num
+    total = h.ord0 * rho
+    for s in newton_polygon(h, p).segments:
+        if rho + s.slope > 0:
+            total += s.length * (rho + s.slope)
+    return total
+
+
+def _oracle_m(f, a, p, rho):
+    value = _oracle_log(f, p, rho) if a is INF else -_oracle_log(f - a, p, rho)
+    return max(value, Fraction(0))
+
+
+def _oracle_bound(p, polys, log_funcs):
+    bound = Fraction(0)
+    for h in polys:
+        for s in newton_polygon(h, p).segments:
+            bound = max(bound, -s.slope)
+    for fun in log_funcs:
+        v1, v2 = fun(bound + 1), fun(bound + 2)
+        if v2 != v1:
+            bound = max(bound, bound + 1 - v1 / (v2 - v1))
+    return bound
+
+
+class TestAgainstPerRadiusOracle:
+    def test_randomized(self):
+        rng = random.Random(89)
+        cases = 0
+        while cases < 200:
+            f = rand_ratfunc(rng, 4, nonzero=True)
+            if f.is_constant:
+                continue
+            cases += 1
+            p = rng.choice((2, 3, 5, 7))
+            grid = sorted({rand_fraction(rng, 6, 3) for _ in range(rng.randint(2, 6))})
+            if len(grid) < 2:
+                grid = [Fraction(-1), Fraction(2)]
+
+            constants = {_oracle_log(f, p, r) - _oracle_N(f, 0, p, r)
+                         + _oracle_N(f, INF, p, r) for r in grid}
+            assert {check_pjf(f, p, grid)} == constants
+
+            a = rand_fraction(rng, 6, 3)
+
+            def defect(r):
+                return (_oracle_m(f, a, p, r) + _oracle_N(f, a, p, r)
+                        - _oracle_m(f, INF, p, r) - _oracle_N(f, INF, p, r))
+
+            bound = _oracle_bound(p, [f.num, f.den, (f - a).num],
+                                  [lambda r: _oracle_log(f, p, r),
+                                   lambda r: _oracle_log(f - a, p, r)])
+            report = check_fmt(f, a, p, grid)
+            assert report.values == tuple(defect(r) for r in grid)
+            assert report.stable_beyond == bound
+            assert report.eventual_value == defect(bound + 1)
+            assert report.eventual_slope == defect(bound + 2) - defect(bound + 1)
+
+            targets = list({rand_fraction(rng, 5, 2) for _ in range(rng.randint(1, 3))})
+
+            def value(r):
+                return (sum(_oracle_m(f, t, p, r) for t in targets)
+                        - _oracle_N(f, INF, p, r))
+
+            bound = _oracle_bound(p, [f.den] + [(f - t).num for t in targets],
+                                  [(lambda r, t=t: _oracle_log(f - t, p, r))
+                                   for t in targets])
+            report = check_smt(f, targets, p, grid)
+            assert report.values == tuple(value(r) for r in grid)
+            assert report.sup == max(value(r) for r in grid)
+            assert report.stable_beyond == bound
+            assert report.eventual_slope == value(bound + 2) - value(bound + 1)
+
+
 class TestDeltaIdentity:
     def test_explicit_expansion(self):
         # f = z, u = z^2, a = 1: both sides are 16z^6 - 12z^4 - 16z^3
@@ -326,10 +414,10 @@ class TestDifferenceIdentity:
 class TestContexts:
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError):
-            PadicContext(6)
+            gauss_log_norm(UPoly.x(), 6, 0)
         with pytest.raises(ValueError):
             gauss_log_norm(UPoly.x(), 9, 0)
 
     def test_log_radius_rejects_floats(self):
         with pytest.raises(TypeError):
-            LogRadius(0.5)
+            gauss_log_norm(UPoly.x(), 2, 0.5)

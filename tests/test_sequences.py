@@ -146,19 +146,6 @@ class TestSearch:
         for length, bound in ((3, 30), (4, 150), (5, 60)):
             assert [s.values for s in search(length, bound)] == brute(length, bound)
 
-    def test_partitioning_does_not_change_output(self):
-        base = [seq.values for seq in search(4, 80, workers=1)]
-        for workers in (2, 3, 7):
-            assert [seq.values for seq in search(4, 80, workers=workers)] == base
-
-    def test_env_worker_count(self, monkeypatch):
-        monkeypatch.setenv("BUCHI_THREADS", "4")
-        assert [s.values for s in search(4, 60)] == \
-               [s.values for s in search(4, 60, workers=1)]
-        monkeypatch.setenv("BUCHI_THREADS", "zero")
-        with pytest.raises(ValueError):
-            search(3, 5)
-
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             search(2, 10)
