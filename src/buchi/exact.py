@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -157,42 +156,3 @@ def valuation(q, p: int):
     if q == 0:
         return INFINITY
     return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
-
-
-@dataclass(frozen=True)
-class PValuation:
-    """A p-adic valuation record: v_p(q) together with its prime.
-
-    value is an int, or INFINITY exactly when the input was 0.
-    """
-
-    prime: int
-    value: object
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is INFINITY
-
-    def _check(self, other: "PValuation") -> None:
-        if self.prime != other.prime:
-            raise ValueError("valuations at different primes")
-
-    def __add__(self, other):
-        if not isinstance(other, PValuation):
-            return NotImplemented
-        self._check(other)
-        return PValuation(self.prime, self.value + other.value)
-
-    def __lt__(self, other: "PValuation") -> bool:
-        self._check(other)
-        return self.value < other.value
-
-    def __le__(self, other: "PValuation") -> bool:
-        self._check(other)
-        return self.value <= other.value
-
-
-def vp(q, p: int) -> PValuation:
-    """p-adic valuation of a rational: v_p(a/b) = v_p(a) - v_p(b),
-    v_p(0) = INFINITY."""
-    return PValuation(p, valuation(q, p))

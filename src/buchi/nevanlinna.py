@@ -213,12 +213,22 @@ def check_pjf(f, p: int, rhos) -> Fraction:
     return constants[0]
 
 
+# Largest accepted n * max(1, deg den): the final gcd of f^(n) grows fast
+# in both, and at this budget one check takes well under a second.
+LDL_BUDGET = 40
+
+
 def check_ldl(f, n: int, p: int, rho) -> bool:
     """Exact check of |f^(n)/f| <= p**(-n*rho) at the radius.  True
-    vacuously when the n-th derivative vanishes identically."""
+    vacuously when the n-th derivative vanishes identically.  Refuses
+    n * max(1, deg den) above LDL_BUDGET."""
     if n < 1:
         raise ValueError("derivative order must be >= 1")
     f = _as_ratfunc(f)
+    cost = n * max(1, f.den.degree)
+    if cost > LDL_BUDGET:
+        raise ValueError(f"n * max(1, deg den) = {cost} > {LDL_BUDGET} refused "
+                         "(resource guard)")
     if f.is_zero:
         raise ValueError("zero function")
     fn = f.derivative(n)

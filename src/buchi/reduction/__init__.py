@@ -6,16 +6,16 @@ from .compiler import (EquisatReport, GadgetBlock, SquareEq, TargetSystem,
                        bounded_equisat, compile_system, encode_square,
                        translate_witness, validate_target)
 from .formulas import print_formulas
-from .lower import (AddInstr, ConstInstr, IntermediateSystem, LinearEq,
-                    MulInstr, Squaring, TACProgram, eliminate_mul, lower_tac)
+from .lower import (IntermediateSystem, LinearEq, Squaring, TACProgram,
+                    eliminate_mul, lower_tac, run_trace)
 from .parser import (Equation, ParseError, SourceSystem, evaluate, expand,
                      parse, parse_poly)
 
 __all__ = [
-    "AddInstr", "ConstInstr", "Equation", "EquisatReport", "GadgetBlock",
-    "IntermediateSystem", "LinearEq", "MulInstr", "ParseError", "SquareEq",
-    "Squaring", "SourceSystem", "TACProgram", "TargetSystem",
-    "bounded_equisat", "compile_system", "eliminate_mul", "encode_square",
-    "evaluate", "expand", "lower_tac", "parse", "parse_poly",
-    "print_formulas", "translate_witness", "validate_target",
+    "Equation", "EquisatReport", "GadgetBlock", "IntermediateSystem",
+    "LinearEq", "ParseError", "SquareEq", "Squaring", "SourceSystem",
+    "TACProgram", "TargetSystem", "bounded_equisat", "compile_system",
+    "eliminate_mul", "encode_square", "evaluate", "expand", "lower_tac",
+    "parse", "parse_poly", "print_formulas", "run_trace",
+    "translate_witness", "validate_target",
 ]

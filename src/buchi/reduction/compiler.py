@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .. import sequences
-from .lower import IntermediateSystem, LinearEq, Squaring, eliminate_mul, lower_tac
+from .lower import LinearEq, eliminate_mul, lower_tac, run_trace
 from .parser import SourceSystem, evaluate
 
 
@@ -53,22 +53,7 @@ class TargetSystem:
 
     def extend(self, assignment: dict[str, int]) -> dict[str, int]:
         """Forced values of every variable given the source variables."""
-        env = {v: int(assignment[v]) for v in self.source_vars}
-        for step in self.trace:
-            op = step[0]
-            if op == "const":
-                env[step[1]] = step[2]
-            elif op == "add":
-                env[step[1]] = env[step[2]] + env[step[3]]
-            elif op == "mul":
-                env[step[1]] = env[step[2]] * env[step[3]]
-            elif op == "square":
-                env[step[1]] = env[step[2]] ** 2
-            elif op == "shift":
-                env[step[1]] = env[step[2]] + step[3]
-            else:
-                raise AssertionError(f"unknown trace step {op!r}")
-        return env
+        return run_trace(self.trace, {v: int(assignment[v]) for v in self.source_vars})
 
     def satisfied(self, env: dict[str, int]) -> bool:
         return (all(eq.residual(env) == 0 for eq in self.linear)
@@ -302,15 +287,15 @@ def bounded_equisat(system: SourceSystem, target: TargetSystem, box: int) -> Equ
         total += 1
         sat = all(evaluate(eq.expr, env) == 0 for eq in system.equations)
         full = target.extend(env)
-        if target.satisfied(full) == sat:
+        holds = target.satisfied(full)
+        if holds == sat:
             agreements += 1
         for w in w_vars:
             if abs(full[w]) > w_bound:
                 w_bound = abs(full[w])
         if sat:
             solutions.append(dict(env))
-            translate_witness(system, target, env)
-            lifted += 1
+            lifted += holds
 
     nontrivial = 0
     if w_vars:

@@ -1,28 +1,38 @@
 """Lowering of equation systems to three-address constraints, and
 elimination of multiplication in favor of squaring constraints.
 
-Three-address form has exactly three instruction shapes over integer
-variables,
+Every stage of the reduction records how each variable it introduces is
+forced by the source variables, as a trace: a sequence of steps, each a
+tuple whose second entry is the variable it assigns,
 
-    v := constant        v := a + b        v := a * b
+    ("const", d, c)       d := c
+    ("add", d, a, b)      d := a + b
+    ("mul", d, a, b)      d := a * b
+    ("square", d, a)      d := a**2
+    ("shift", d, a, c)    d := a + c
 
-plus equality constraints between variables.  An instruction is read as
-an equation (the dest is a fresh temporary, assigned once), so a solution
-of the program is an integer assignment of the source variables extended
-by the forced temporary values that satisfies every equality.
+with c an integer constant.  run_trace is the one interpreter of this
+format; the three-address program, the elimination trace and the
+square gadgets all use it.
+
+Three-address form uses the first three step shapes over integer
+variables, plus equality constraints between variables.  A step is read
+as an equation (the dest is a fresh temporary, assigned once), so a
+solution of the program is an integer assignment of the source variables
+extended by the forced temporary values that satisfies every equality.
 
 Each source equation is expanded to a polynomial and split into the two
 sides with nonnegative coefficients (pos = neg), so no subtraction and no
 negative constants are ever needed; coefficient scaling uses binary
-addition chains rather than multiplication instructions, keeping every
-product in the program an honest variable*variable multiplication.
+addition chains rather than multiplication steps, keeping every product
+in the program an honest variable*variable multiplication.
 
-eliminate_mul replaces v := a*b for distinct a, b by the polarization
+eliminate_mul replaces d := a*b for distinct a, b by the polarization
 
-    s = a + b,   s**2 = a**2 + b**2 + 2v
+    s = a + b,   s**2 = a**2 + b**2 + 2d
 
 introducing one new squared quantity per product (the squares of a and b
-are reused across products), and v := a*a collapses to v = square(a).
+are reused across products), and d := a*a collapses to d = square(a).
 The result is linear equations plus constraints q = t**2.
 """
 
@@ -33,55 +43,41 @@ from dataclasses import dataclass, field
 from .parser import SourceSystem, expand
 
 
-@dataclass(frozen=True)
-class ConstInstr:
-    dest: str
-    value: int
-
-
-@dataclass(frozen=True)
-class AddInstr:
-    dest: str
-    a: str
-    b: str
-
-
-@dataclass(frozen=True)
-class MulInstr:
-    dest: str
-    a: str
-    b: str
+def run_trace(steps, env: dict[str, int]) -> dict[str, int]:
+    """Assign every step's destination in order, extending env in place,
+    and return env.  env must hold each variable a step reads that no
+    earlier step assigns."""
+    for step in steps:
+        op = step[0]
+        if op == "const":
+            env[step[1]] = step[2]
+        elif op == "add":
+            env[step[1]] = env[step[2]] + env[step[3]]
+        elif op == "mul":
+            env[step[1]] = env[step[2]] * env[step[3]]
+        elif op == "square":
+            env[step[1]] = env[step[2]] ** 2
+        elif op == "shift":
+            env[step[1]] = env[step[2]] + step[3]
+        else:
+            raise ValueError(f"unknown trace step {op!r}")
+    return env
 
 
 @dataclass(frozen=True)
 class TACProgram:
+    """Three-address program: instrs are "const", "add" and "mul" trace
+    steps, one per temporary, in the order of temps."""
+
     source_vars: tuple[str, ...]
     temps: tuple[str, ...]
     instrs: tuple
     equalities: tuple[tuple[str, str], ...]
-    next_temp: int
-
-    def run(self, env: dict[str, int]) -> dict[str, int]:
-        """Forced values of every temporary for a source assignment."""
-        env = dict(env)
-        for instr in self.instrs:
-            if isinstance(instr, ConstInstr):
-                env[instr.dest] = instr.value
-            elif isinstance(instr, AddInstr):
-                env[instr.dest] = env[instr.a] + env[instr.b]
-            else:
-                env[instr.dest] = env[instr.a] * env[instr.b]
-        return env
-
-    def satisfied(self, env: dict[str, int]) -> bool:
-        full = self.run(env)
-        return all(full[a] == full[b] for a, b in self.equalities)
 
 
 class _Lowerer:
     def __init__(self, variables: tuple[str, ...]):
         self.variables = variables
-        self.counter = 0
         self.instrs: list = []
         self.temps: list[str] = []
         self.const_memo: dict[int, str] = {}
@@ -91,15 +87,14 @@ class _Lowerer:
         self.scale_memo: dict[tuple[str, int], str] = {}
 
     def fresh(self) -> str:
-        name = f"_t{self.counter}"
-        self.counter += 1
+        name = f"_t{len(self.temps)}"
         self.temps.append(name)
         return name
 
     def const(self, value: int) -> str:
         if value not in self.const_memo:
             t = self.fresh()
-            self.instrs.append(ConstInstr(t, value))
+            self.instrs.append(("const", t, value))
             self.const_memo[value] = t
         return self.const_memo[value]
 
@@ -107,7 +102,7 @@ class _Lowerer:
         key = (a, b) if a <= b else (b, a)
         if key not in self.add_memo:
             t = self.fresh()
-            self.instrs.append(AddInstr(t, a, b))
+            self.instrs.append(("add", t, a, b))
             self.add_memo[key] = t
         return self.add_memo[key]
 
@@ -115,7 +110,7 @@ class _Lowerer:
         key = (a, b) if a <= b else (b, a)
         if key not in self.mul_memo:
             t = self.fresh()
-            self.instrs.append(MulInstr(t, a, b))
+            self.instrs.append(("mul", t, a, b))
             self.mul_memo[key] = t
         return self.mul_memo[key]
 
@@ -203,8 +198,7 @@ def lower_tac(system: SourceSystem) -> TACProgram:
     return TACProgram(source_vars=system.variables,
                       temps=tuple(lw.temps),
                       instrs=tuple(lw.instrs),
-                      equalities=tuple(equalities),
-                      next_temp=lw.counter)
+                      equalities=tuple(equalities))
 
 
 @dataclass
@@ -236,13 +230,12 @@ class IntermediateSystem:
     linear: list[LinearEq]
     squarings: list[Squaring]
     trace: tuple
-    next_temp: int
     counters: dict = field(default_factory=dict)
 
 
 def eliminate_mul(prog: TACProgram) -> IntermediateSystem:
     """Replace every multiplication by linear equations and squarings."""
-    counter = prog.next_temp
+    counter = len(prog.temps)
     variables = list(prog.source_vars) + list(prog.temps)
     linear: list[LinearEq] = []
     squarings: list[Squaring] = []
@@ -267,19 +260,18 @@ def eliminate_mul(prog: TACProgram) -> IntermediateSystem:
             counts["squarings"] += 1
         return square_memo[x]
 
-    for instr in prog.instrs:
-        if isinstance(instr, ConstInstr):
-            linear.append(LinearEq({instr.dest: 1}, -instr.value))
-            trace.append(("const", instr.dest, instr.value))
-        elif isinstance(instr, AddInstr):
-            coeffs = {instr.dest: 1}
-            for v in (instr.a, instr.b):
+    for step in prog.instrs:
+        trace.append(step)
+        op, d = step[0], step[1]
+        if op == "const":
+            linear.append(LinearEq({d: 1}, -step[2]))
+        elif op == "add":
+            coeffs = {d: 1}
+            for v in step[2:]:
                 coeffs[v] = coeffs.get(v, 0) - 1
             linear.append(LinearEq(coeffs, 0))
-            trace.append(("add", instr.dest, instr.a, instr.b))
         else:
-            a, b, d = instr.a, instr.b, instr.dest
-            trace.append(("mul", d, a, b))
+            a, b = step[2], step[3]
             if a == b:
                 q = square_of(a)
                 linear.append(LinearEq({d: 1, q: -1}, 0))
@@ -302,5 +294,4 @@ def eliminate_mul(prog: TACProgram) -> IntermediateSystem:
                               linear=linear,
                               squarings=squarings,
                               trace=tuple(trace),
-                              next_temp=counter,
                               counters=counts)

@@ -415,14 +415,16 @@ class RatFunc:
         return RatFunc(self._num ** n, self._den ** n)
 
     def derivative(self, n: int = 1) -> "RatFunc":
-        """Exact n-th derivative, quotient rule at each step."""
+        """Exact n-th derivative.  For f = N/D, f^(k) = N_k / D^(k+1) with
+        N_0 = N and N_(k+1) = N_k' D - (k+1) N_k D'; only the result is
+        brought to canonical form."""
         if n < 1:
             raise ValueError("derivative order must be >= 1")
-        f = self
-        for _ in range(n):
-            f = RatFunc(f._num.derivative() * f._den - f._num * f._den.derivative(),
-                        f._den * f._den)
-        return f
+        num, den = self._num, self._den
+        den_prime = den.derivative()
+        for k in range(1, n + 1):
+            num = num.derivative() * den - k * num * den_prime
+        return RatFunc(num, den ** (n + 1))
 
 
 class MPoly:

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -122,6 +123,13 @@ class TestPadic:
         payload = run_json(capsys, "padic", "ldl", "--p", "3", "--num", "z^2",
                            "--n", "1", "--rho", "1", "--json")
         assert payload["holds"] is True
+
+    def test_ldl_order_guard(self, capsys):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "padic", "ldl", "--p", "3", "--num", "1",
+                             "--den", "z^2+z+1", "--n", "1000", "--rho", "1")
+        assert code == 1 and out == "" and "(resource guard)" in err
+        assert time.monotonic() - t0 < 1
 
     def test_fmt(self, capsys):
         payload = run_json(capsys, "padic", "fmt", "--p", "2", "--num", "z-1",

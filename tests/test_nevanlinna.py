@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from buchi.exact import valuation
-from buchi.nevanlinna import (INF, NewtonSegment, check_fmt, check_ldl,
-                              check_pjf, check_smt, count_zeros, delta_identity,
-                              difference_identity, gauss_log_norm, height_N,
-                              newton_polygon, prox_m)
+from buchi.nevanlinna import (INF, LDL_BUDGET, NewtonSegment, check_fmt,
+                              check_ldl, check_pjf, check_smt, count_zeros,
+                              delta_identity, difference_identity,
+                              gauss_log_norm, height_N, newton_polygon, prox_m)
 from buchi.symbolic import RatFunc, UPoly
 from helpers import rand_fraction, rand_ratfunc, rand_upoly
 
@@ -192,6 +192,15 @@ class TestLdl:
     def test_vacuous_when_derivative_vanishes(self):
         assert check_ldl(RatFunc.constant(4), 1, 2, 0)
         assert check_ldl(RatFunc(UPoly((1, 1))), 2, 2, -5)
+
+    def test_order_budget(self):
+        f = 1 / (Z * Z + Z + 1)
+        assert isinstance(check_ldl(f, LDL_BUDGET // 2, 3, 1), bool)
+        with pytest.raises(ValueError, match="resource guard"):
+            check_ldl(f, LDL_BUDGET // 2 + 1, 3, 1)
+        assert check_ldl(Z ** 3, LDL_BUDGET, 3, 1)
+        with pytest.raises(ValueError, match="resource guard"):
+            check_ldl(Z ** 3, LDL_BUDGET + 1, 3, 1)
 
     def test_randomized(self):
         rng = random.Random(19)

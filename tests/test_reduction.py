@@ -4,10 +4,10 @@ import re
 import pytest
 
 from buchi import sequences
-from buchi.reduction import (ConstInstr, MulInstr, ParseError, TACProgram,
-                             bounded_equisat, compile_system, eliminate_mul,
-                             encode_square, evaluate, lower_tac, parse,
-                             parse_poly, print_formulas, translate_witness,
+from buchi.reduction import (ParseError, TACProgram, bounded_equisat,
+                             compile_system, eliminate_mul, encode_square,
+                             evaluate, lower_tac, parse, parse_poly,
+                             print_formulas, run_trace, translate_witness,
                              validate_target)
 from buchi.symbolic import UPoly
 
@@ -21,9 +21,9 @@ class TestParser:
     def test_power_expansion(self):
         system = parse("x^2 = 4")
         prog = lower_tac(system)
-        muls = [i for i in prog.instrs if isinstance(i, MulInstr)]
+        muls = [step for step in prog.instrs if step[0] == "mul"]
         assert len(muls) == 1
-        assert muls[0].a == muls[0].b == "x"
+        assert muls[0][2] == muls[0][3] == "x"
 
     def test_syntax_error_position(self):
         with pytest.raises(ParseError) as err:
@@ -66,15 +66,15 @@ class TestParser:
 class TestLowering:
     def test_single_product(self):
         prog = lower_tac(parse("x*y = 6"))
-        muls = [i for i in prog.instrs if isinstance(i, MulInstr)]
-        consts = [i for i in prog.instrs if isinstance(i, ConstInstr)]
-        assert len(muls) == 1 and {muls[0].a, muls[0].b} == {"x", "y"}
-        assert any(c.value == 6 for c in consts)
+        muls = [step for step in prog.instrs if step[0] == "mul"]
+        consts = [step for step in prog.instrs if step[0] == "const"]
+        assert len(muls) == 1 and set(muls[0][2:]) == {"x", "y"}
+        assert any(c[2] == 6 for c in consts)
         assert len(prog.equalities) == 1
 
     def test_pure_linear_has_no_multiplications(self):
         prog = lower_tac(parse("x + y = z; z = 2"))
-        assert not any(isinstance(i, MulInstr) for i in prog.instrs)
+        assert not any(step[0] == "mul" for step in prog.instrs)
 
     def test_solution_preservation(self):
         system = parse("3*x^2 - 2*x*y + 5 = y + 1; x + y = 7")
@@ -83,35 +83,39 @@ class TestLowering:
         for _ in range(300):
             env = {v: rng.randint(-10, 10) for v in system.variables}
             source_sat = all(evaluate(eq.expr, env) == 0 for eq in system.equations)
-            assert prog.satisfied(env) == source_sat
+            full = run_trace(prog.instrs, dict(env))
+            assert all(full[a] == full[b] for a, b in prog.equalities) == source_sat
 
     def test_ssa(self):
         prog = lower_tac(parse("x*y + x^2*y - 4 = x*y"))
-        dests = [i.dest for i in prog.instrs]
+        dests = [step[1] for step in prog.instrs]
         assert len(dests) == len(set(dests))
         assert set(dests) == set(prog.temps)
+
+
+class TestRunTrace:
+    def test_each_op(self):
+        steps = (("const", "c", 4), ("add", "s", "x", "c"), ("mul", "m", "s", "x"),
+                 ("square", "q", "m"), ("shift", "w", "q", -3))
+        env = {"x": 2}
+        assert run_trace(steps, env) is env
+        assert env == {"x": 2, "c": 4, "s": 6, "m": 12, "q": 144, "w": 141}
+
+    def test_unknown_op_rejected(self):
+        with pytest.raises(ValueError, match="unknown trace step 'neg'"):
+            run_trace((("neg", "y", "x"),), {"x": 1})
 
 
 class TestEliminateMul:
     def test_constant_product_polarization(self):
         prog = TACProgram(source_vars=(),
                           temps=("_t0", "_t1", "_t2"),
-                          instrs=(ConstInstr("_t0", 3), ConstInstr("_t1", 5),
-                                  MulInstr("_t2", "_t0", "_t1")),
-                          equalities=(),
-                          next_temp=3)
+                          instrs=(("const", "_t0", 3), ("const", "_t1", 5),
+                                  ("mul", "_t2", "_t0", "_t1")),
+                          equalities=())
         inter = eliminate_mul(prog)
         assert len(inter.squarings) == 3  # s, a and b each get one square
-        env = {}
-        for step in inter.trace:
-            if step[0] == "const":
-                env[step[1]] = step[2]
-            elif step[0] == "add":
-                env[step[1]] = env[step[2]] + env[step[3]]
-            elif step[0] == "mul":
-                env[step[1]] = env[step[2]] * env[step[3]]
-            elif step[0] == "square":
-                env[step[1]] = env[step[2]] ** 2
+        env = run_trace(inter.trace, {})
         s = next(t for t in inter.trace if t[0] == "add")[1]
         assert env[s] == 8
         squares = {t: q for (op, q, t) in
@@ -153,12 +157,7 @@ class TestEncodeSquare:
 
     def test_canonical_witness(self):
         block = encode_square("t", "q", 5)
-        env = {"t": 3, "q": 9}
-        for step in block.trace:
-            if step[0] == "shift":
-                env[step[1]] = env[step[2]] + step[3]
-            else:
-                env[step[1]] = env[step[2]] ** 2
+        env = run_trace(block.trace, {"t": 3, "q": 9})
         us = [env[f"u{i}"] for i in range(1, 6)]
         ws = [env[f"w{i}"] for i in range(1, 6)]
         assert us == [9, 16, 25, 36, 49]
@@ -171,12 +170,7 @@ class TestEncodeSquare:
 
     def test_zero_witness(self):
         block = encode_square("t", "q", 5)
-        env = {"t": 0, "q": 0}
-        for step in block.trace:
-            if step[0] == "shift":
-                env[step[1]] = env[step[2]] + step[3]
-            else:
-                env[step[1]] = env[step[2]] ** 2
+        env = run_trace(block.trace, {"t": 0, "q": 0})
         assert [env[f"u{i}"] for i in range(1, 6)] == [0, 1, 4, 9, 16]
         assert all(eq.residual(env) == 0 for eq in block.linear)
 
@@ -184,12 +178,7 @@ class TestEncodeSquare:
         for m in (3, 4, 5, 8):
             block = encode_square("t", "q", m)
             for t in range(-30, 31):
-                env = {"t": t, "q": t * t}
-                for step in block.trace:
-                    if step[0] == "shift":
-                        env[step[1]] = env[step[2]] + step[3]
-                    else:
-                        env[step[1]] = env[step[2]] ** 2
+                env = run_trace(block.trace, {"t": t, "q": t * t})
                 assert all(eq.residual(env) == 0 for eq in block.linear)
                 assert all(env[sq.lhs] == env[sq.rhs] ** 2 for sq in block.squares)
 
@@ -350,6 +339,23 @@ class TestValidator:
         for _ in range(100):
             target = compile_system(parse(rand_system_text(rng)), m=5)
             validate_target(target)  # must not raise
+
+    def test_trace_forces_each_variable_once(self):
+        # extend relies on this: one pass over the trace assigns every
+        # introduced variable, each from values already assigned.
+        rng = random.Random(34)
+        texts = [rand_system_text(rng) for _ in range(100)] + ["x = (a+b-c)^5"]
+        for text in texts:
+            target = compile_system(parse(text), m=5)
+            known = set(target.source_vars)
+            dests = []
+            for step in target.trace:
+                operands = [v for v in step[2:] if isinstance(v, str)]
+                assert set(operands) <= known, (text, step)
+                dests.append(step[1])
+                known.add(step[1])
+            assert len(dests) == len(set(dests)), text
+            assert set(dests) == set(target.variables) - set(target.source_vars)
 
     def test_witness_reuse_detected(self):
         target = compile_system(parse("x*x = 4"), m=5)

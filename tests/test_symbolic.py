@@ -83,6 +83,20 @@ class TestRatFunc:
         oracle = RatFunc(UPoly(tuple(k * c for k, c in enumerate(expanded.coeffs))[1:]))
         assert ((1 + z) ** 2).derivative() == oracle == RatFunc(UPoly((2, 2)))
 
+    def test_derivative_matches_quotient_rule_oracle(self):
+        def oracle(f, n):
+            # the quotient rule applied n times, canonical at every step
+            for _ in range(n):
+                f = RatFunc(f.num.derivative() * f.den - f.num * f.den.derivative(),
+                            f.den * f.den)
+            return f
+
+        rng = random.Random(41)
+        for _ in range(80):
+            f = rand_ratfunc(rng, max_deg=4)
+            n = rng.randint(1, 8)
+            assert f.derivative(n) == oracle(f, n), (f, n)
+
     def test_product_rule_randomized(self):
         rng = random.Random(23)
         for _ in range(200):
