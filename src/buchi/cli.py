@@ -28,10 +28,6 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part != ""]
 
 
-def _s(q) -> str:
-    return str(q)
-
-
 def _emit(args, payload: dict, human: str) -> None:
     if getattr(args, "json", False):
         print(json.dumps(payload))
@@ -81,8 +77,8 @@ def _cmd_surface_check(args) -> int:
     surface = surfaces.BuchiSurface(_rat_list(args.deltas))
     point = surfaces.ProjectivePoint(_rat_list(args.point))
     on_surface = surfaces.contains(surface, point)
-    payload = {"deltas": [_s(d) for d in surface.deltas],
-               "point": [_s(c) for c in point.coords],
+    payload = {"deltas": [str(d) for d in surface.deltas],
+               "point": [str(c) for c in point.coords],
                "contains": on_surface}
     _emit(args, payload, f"on surface: {'yes' if on_surface else 'no'}")
     return 0
@@ -96,7 +92,7 @@ def _cmd_surface_line(args) -> int:
         _emit(args, {"on_trivial_line": False, "signs": None, "nu": None},
               "not on a trivial line")
     else:
-        nu = None if witness.nu is None else _s(witness.nu)
+        nu = None if witness.nu is None else str(witness.nu)
         signs = list(witness.signs)
         _emit(args, {"on_trivial_line": True, "signs": signs, "nu": nu},
               f"trivial line: signs={signs} nu={nu}")
@@ -108,12 +104,12 @@ def _cmd_surface_scan(args) -> int:
     found = surfaces.scan_exceptional(nodes, args.height,
                                       integers_only=args.integers_only)
     payload = {
-        "nodes": [_s(a) for a in nodes.nodes],
+        "nodes": [str(a) for a in nodes.nodes],
         "height": args.height,
         "integers_only": args.integers_only,
         "label": "candidates up to the height bound; no completeness implied",
         "count": len(found),
-        "candidates": [{"u": _s(f.u), "v": _s(f.v)} for f in found],
+        "candidates": [{"u": str(f.u), "v": str(f.v)} for f in found],
         "growth": {"height": args.height, "count": len(found)},
     }
     if args.json:
@@ -127,7 +123,7 @@ def _cmd_surface_scan(args) -> int:
 
 def _cmd_surface_family(args) -> int:
     f, nodes, roots = surfaces.counterexample_family(args.N)
-    payload = {"N": args.N, "f": {"u": _s(f.u), "v": _s(f.v)},
+    payload = {"N": args.N, "f": {"u": str(f.u), "v": str(f.v)},
                "nodes": [str(a) for a in nodes],
                "roots": [str(r) for r in roots]}
     human = (f"f = x^2 + ({f.u})*x + ({f.v})\n"
@@ -140,7 +136,7 @@ def _cmd_surface_family(args) -> int:
 def _cmd_padic_norm(args) -> int:
     poly = reduction.parse_poly(args.poly)
     value = nevanlinna.gauss_log_norm(poly, args.p, as_fraction(args.rho))
-    _emit(args, {"p": args.p, "rho": args.rho, "log_norm": _s(value)}, _s(value))
+    _emit(args, {"p": args.p, "rho": args.rho, "log_norm": str(value)}, str(value))
     return 0
 
 
@@ -150,7 +146,7 @@ def _cmd_padic_zeros(args) -> int:
     polygon = nevanlinna.newton_polygon(poly, args.p)
     count = nevanlinna.count_zeros(poly, args.p, rho)
     payload = {"p": args.p, "rho": args.rho, "count": count,
-               "newton_polygon": [{"slope": _s(s.slope), "length": s.length}
+               "newton_polygon": [{"slope": str(s.slope), "length": s.length}
                                   for s in polygon.segments]}
     _emit(args, payload, str(count))
     return 0
@@ -160,7 +156,7 @@ def _cmd_padic_pjf(args) -> int:
     f = _ratfunc(args)
     rhos = _rat_list(args.rhos)
     constant = nevanlinna.check_pjf(f, args.p, rhos)
-    payload = {"p": args.p, "rhos": [_s(r) for r in rhos], "constant": _s(constant)}
+    payload = {"p": args.p, "rhos": [str(r) for r in rhos], "constant": str(constant)}
     _emit(args, payload, f"C = {constant}")
     return 0
 
@@ -177,12 +173,12 @@ def _cmd_padic_fmt(args) -> int:
     f = _ratfunc(args)
     report = nevanlinna.check_fmt(f, as_fraction(args.a), args.p, _rat_list(args.rhos))
     payload = {"p": args.p, "a": args.a,
-               "grid": [_s(r) for r in report.grid],
-               "defects": [_s(v) for v in report.values],
-               "spread": _s(report.spread),
-               "stable_beyond": _s(report.stable_beyond),
-               "eventual_slope": _s(report.eventual_slope),
-               "eventual_defect": _s(report.eventual_value),
+               "grid": [str(r) for r in report.grid],
+               "defects": [str(v) for v in report.values],
+               "spread": str(report.spread),
+               "stable_beyond": str(report.stable_beyond),
+               "eventual_slope": str(report.eventual_slope),
+               "eventual_defect": str(report.eventual_value),
                "passed": report.passed}
     human = (f"spread {report.spread}; defect is {report.eventual_value} for "
              f"rho > {report.stable_beyond}; passed: {report.passed}")
@@ -195,12 +191,12 @@ def _cmd_padic_smt(args) -> int:
     report = nevanlinna.check_smt(f, _rat_list(args.targets), args.p,
                                   _rat_list(args.rhos))
     payload = {"p": args.p,
-               "targets": [_s(t) for t in report.targets],
-               "grid": [_s(r) for r in report.grid],
-               "values": [_s(v) for v in report.values],
-               "sup": _s(report.sup),
-               "stable_beyond": _s(report.stable_beyond),
-               "eventual_slope": _s(report.eventual_slope),
+               "targets": [str(t) for t in report.targets],
+               "grid": [str(r) for r in report.grid],
+               "values": [str(v) for v in report.values],
+               "sup": str(report.sup),
+               "stable_beyond": str(report.stable_beyond),
+               "eventual_slope": str(report.eventual_slope),
                "passed": report.passed}
     human = (f"sup {report.sup}; eventual slope {report.eventual_slope}; "
              f"passed: {report.passed}")

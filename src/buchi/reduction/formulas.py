@@ -11,15 +11,9 @@ the surface having no unexpected rational points).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..exact import as_fraction
 
 DEFAULT_M = 35
-
-
-def _fmt(q: Fraction) -> str:
-    return str(q)
 
 
 def _formula_f(m: int) -> str:
@@ -62,7 +56,7 @@ def _formula_psi(deltas) -> str:
     lines = ["Ψ[x,y] :="]
     lines.append("  " + " ".join(f"∃{c}" for c in cs) + " (")
     lines.append("      ψ(" + ",".join(cs) + ")")
-    lines.append(f"    ∧ c2 - c1 = 2*{_fmt(d2)}*x + {_fmt(d2 * d2)}")
+    lines.append(f"    ∧ c2 - c1 = 2*{d2}*x + {d2 * d2}")
     lines.append("    ∧ y = c1")
     lines.append("  )")
     lines.append("where")
@@ -70,12 +64,12 @@ def _formula_psi(deltas) -> str:
     lines.append("      " + " ∧ ".join(f"P2({c})" for c in cs))
     for i in range(3, n + 1):
         di = ds[i - 2]
-        lines.append(f"    ∧ {_fmt(d2)}*c{i} = {_fmt(di * d2 * (di - d2))}"
-                     f" - {_fmt(di - d2)}*c1 + {_fmt(di)}*c2")
+        lines.append(f"    ∧ {d2}*c{i} = {di * d2 * (di - d2)}"
+                     f" - {di - d2}*c1 + {di}*c2")
     lines.append("  (the conjuncts put [1 : sqrt(c1) : ... : sqrt(c%d)] on the"
                  % n)
     lines.append("   quadric surface with offsets "
-                 + ",".join(_fmt(d) for d in ds) + ")")
+                 + ",".join(str(d) for d in ds) + ")")
     return "\n".join(lines)
 
 

@@ -7,6 +7,7 @@ tuple whose second entry is the variable it assigns,
 
     ("const", d, c)       d := c
     ("add", d, a, b)      d := a + b
+    ("sub", d, a, b)      d := a - b
     ("mul", d, a, b)      d := a * b
     ("square", d, a)      d := a**2
     ("shift", d, a, c)    d := a + c
@@ -15,17 +16,19 @@ with c an integer constant.  run_trace is the one interpreter of this
 format; the three-address program, the elimination trace and the
 square gadgets all use it.
 
-Three-address form uses the first three step shapes over integer
+Three-address form uses the first four step shapes over integer
 variables, plus equality constraints between variables.  A step is read
 as an equation (the dest is a fresh temporary, assigned once), so a
 solution of the program is an integer assignment of the source variables
 extended by the forced temporary values that satisfies every equality.
 
-Each source equation is expanded to a polynomial and split into the two
-sides with nonnegative coefficients (pos = neg), so no subtraction and no
-negative constants are ever needed; coefficient scaling uses binary
-addition chains rather than multiplication steps, keeping every product
-in the program an honest variable*variable multiplication.
+Both sides of each equation are lowered by one walk over the syntax
+tree, so the program grows with the input text, not with the monomials of
+the expanded polynomial.  Steps are hash-consed (equal subterms share one
+temporary) and subterms without variables fold to integers.  A power is
+square-and-multiply; a product multiplies its variable factors and
+applies its constant factor last by a doubling chain of additions, so
+every mul step is variable*variable and no constant enters a square.
 
 eliminate_mul replaces d := a*b for distinct a, b by the polarization
 
@@ -39,8 +42,10 @@ The result is linear equations plus constraints q = t**2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial, reduce
+from math import prod
 
-from .parser import SourceSystem, expand
+from .parser import Add, Mul, Neg, Num, Pow, SourceSystem, Var
 
 
 def run_trace(steps, env: dict[str, int]) -> dict[str, int]:
@@ -53,6 +58,8 @@ def run_trace(steps, env: dict[str, int]) -> dict[str, int]:
             env[step[1]] = step[2]
         elif op == "add":
             env[step[1]] = env[step[2]] + env[step[3]]
+        elif op == "sub":
+            env[step[1]] = env[step[2]] - env[step[3]]
         elif op == "mul":
             env[step[1]] = env[step[2]] * env[step[3]]
         elif op == "square":
@@ -66,8 +73,8 @@ def run_trace(steps, env: dict[str, int]) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class TACProgram:
-    """Three-address program: instrs are "const", "add" and "mul" trace
-    steps, one per temporary, in the order of temps."""
+    """Three-address program: instrs are "const", "add", "sub" and "mul"
+    trace steps, one per temporary, in the order of temps."""
 
     source_vars: tuple[str, ...]
     temps: tuple[str, ...]
@@ -76,127 +83,95 @@ class TACProgram:
 
 
 class _Lowerer:
-    def __init__(self, variables: tuple[str, ...]):
-        self.variables = variables
+    def __init__(self):
         self.instrs: list = []
-        self.temps: list[str] = []
-        self.const_memo: dict[int, str] = {}
-        self.mono_memo: dict[tuple[int, ...], str] = {}
-        self.add_memo: dict[tuple[str, str], str] = {}
-        self.mul_memo: dict[tuple[str, str], str] = {}
-        self.scale_memo: dict[tuple[str, int], str] = {}
+        self.memo: dict[tuple, str] = {}
 
-    def fresh(self) -> str:
-        name = f"_t{len(self.temps)}"
-        self.temps.append(name)
-        return name
+    def step(self, op: str, *args) -> str:
+        """The temporary assigned by (op, *args), emitted on first use;
+        integer operands become const steps."""
+        if op != "const":
+            args = tuple(self.name(a) for a in args)
+            if op in ("add", "mul"):
+                args = tuple(sorted(args))
+        key = (op, *args)
+        if key not in self.memo:
+            self.memo[key] = f"_t{len(self.memo)}"
+            self.instrs.append((op, self.memo[key], *args))
+        return self.memo[key]
 
-    def const(self, value: int) -> str:
-        if value not in self.const_memo:
-            t = self.fresh()
-            self.instrs.append(("const", t, value))
-            self.const_memo[value] = t
-        return self.const_memo[value]
+    def name(self, value: str | int) -> str:
+        return self.step("const", value) if isinstance(value, int) else value
 
-    def add(self, a: str, b: str) -> str:
-        key = (a, b) if a <= b else (b, a)
-        if key not in self.add_memo:
-            t = self.fresh()
-            self.instrs.append(("add", t, a, b))
-            self.add_memo[key] = t
-        return self.add_memo[key]
+    def lower(self, node) -> str | int:
+        """The variable holding node's value, or the value itself when
+        node has no variables."""
+        if isinstance(node, Num):
+            return node.value
+        if isinstance(node, Var):
+            return node.name
+        if isinstance(node, (Mul, Neg)):
+            factors = self.factors(node)
+            c = prod(f for f in factors if isinstance(f, int))
+            names = [f for f in factors if isinstance(f, str)]
+            return (self.scale(reduce(partial(self.step, "mul"), names), c)
+                    if names and c else c)
+        if isinstance(node, Pow):
+            return self.power(self.lower(node.base), node.exponent)
+        left, right = self.lower(node.left), self.lower(node.right)
+        if isinstance(left, int) and isinstance(right, int):
+            return left + right if isinstance(node, Add) else left - right
+        return self.step("add" if isinstance(node, Add) else "sub", left, right)
 
-    def mul(self, a: str, b: str) -> str:
-        key = (a, b) if a <= b else (b, a)
-        if key not in self.mul_memo:
-            t = self.fresh()
-            self.instrs.append(("mul", t, a, b))
-            self.mul_memo[key] = t
-        return self.mul_memo[key]
+    def factors(self, node) -> list:
+        """Lowered factors of a product chain, a negation as the factor -1."""
+        if isinstance(node, Mul):
+            return self.factors(node.left) + self.factors(node.right)
+        if isinstance(node, Neg):
+            return [-1] + self.factors(node.operand)
+        return [self.lower(node)]
 
-    def monomial(self, exps: tuple[int, ...]) -> str:
-        """Variable-power product by repeated multiplication, memoized on
-        the exponent vector (prefix products shared across terms)."""
-        if exps in self.mono_memo:
-            return self.mono_memo[exps]
-        total = sum(exps)
-        if total == 1:
-            idx = next(i for i, e in enumerate(exps) if e)
-            name = self.variables[idx]
-        else:
-            idx = max(i for i, e in enumerate(exps) if e)
-            prev = list(exps)
-            prev[idx] -= 1
-            name = self.mul(self.monomial(tuple(prev)), self.variables[idx])
-        self.mono_memo[exps] = name
-        return name
+    def power(self, base: str | int, k: int) -> str | int:
+        """base**k by left-to-right square-and-multiply."""
+        if isinstance(base, int):
+            return base ** k
+        if k == 0:
+            return 1
+        acc = base
+        for bit in bin(k)[3:]:
+            acc = self.step("mul", acc, acc)
+            if bit == "1":
+                acc = self.step("mul", acc, base)
+        return acc
 
     def scale(self, name: str, c: int) -> str:
-        """c*name for c >= 1 using a binary doubling chain of additions."""
-        if c == 1:
-            return name
-        key = (name, c)
-        if key in self.scale_memo:
-            return self.scale_memo[key]
-        doubles = [name]
-        power = 1
-        while power * 2 <= c:
-            prev = doubles[-1]
-            nxt = self.scale_memo.get((name, power * 2))
-            if nxt is None:
-                nxt = self.add(prev, prev)
-                self.scale_memo[(name, power * 2)] = nxt
-            doubles.append(nxt)
-            power *= 2
-        acc = None
-        bit = 0
-        rem = c
-        while rem:
-            if rem & 1:
-                piece = doubles[bit]
-                acc = piece if acc is None else self.add(acc, piece)
-            rem >>= 1
-            bit += 1
-        self.scale_memo[key] = acc
-        return acc
-
-    def side(self, terms: list[tuple[tuple[int, ...], int]]) -> str:
-        if not terms:
-            return self.const(0)
-        acc = None
-        for exps, coeff in terms:
-            if all(e == 0 for e in exps):
-                piece = self.const(coeff)
-            else:
-                piece = self.scale(self.monomial(exps), coeff)
-            acc = piece if acc is None else self.add(acc, piece)
-        return acc
+        """c*name for c != 0: a binary doubling chain of additions, then a
+        subtraction from 0 if c < 0."""
+        if c < 0:
+            return self.step("sub", 0, self.scale(name, -c))
+        acc, double = None, name
+        while True:
+            if c & 1:
+                acc = double if acc is None else self.step("add", acc, double)
+            c >>= 1
+            if not c:
+                return acc
+            double = self.step("add", double, double)
 
 
 def lower_tac(system: SourceSystem) -> TACProgram:
     """Semantics-preserving lowering: integer solutions of the system
     correspond exactly to solutions of the program restricted to the
     source variables."""
-    lw = _Lowerer(system.variables)
+    lw = _Lowerer()
     equalities: list[tuple[str, str]] = []
     for eq in system.equations:
-        poly = expand(eq.expr, system.variables)
-        pos: list[tuple[tuple[int, ...], int]] = []
-        neg: list[tuple[tuple[int, ...], int]] = []
-        for exps, coeff in sorted(poly.terms.items()):
-            if coeff.denominator != 1:
-                raise ValueError("non-integer coefficient after expansion")
-            c = coeff.numerator
-            if c > 0:
-                pos.append((exps, c))
-            else:
-                neg.append((exps, -c))
-        left = lw.side(pos)
-        right = lw.side(neg)
+        left = lw.name(lw.lower(eq.expr.left))
+        right = lw.name(lw.lower(eq.expr.right))
         if left != right:
             equalities.append((left, right))
     return TACProgram(source_vars=system.variables,
-                      temps=tuple(lw.temps),
+                      temps=tuple(step[1] for step in lw.instrs),
                       instrs=tuple(lw.instrs),
                       equalities=tuple(equalities))
 
@@ -237,7 +212,9 @@ def eliminate_mul(prog: TACProgram) -> IntermediateSystem:
     """Replace every multiplication by linear equations and squarings."""
     counter = len(prog.temps)
     variables = list(prog.source_vars) + list(prog.temps)
-    linear: list[LinearEq] = []
+    # The equalities come first: they are what fails for an assignment
+    # that is not a solution, so TargetSystem.satisfied stops there.
+    linear = [LinearEq({x: 1, y: -1}, 0) for x, y in prog.equalities if x != y]
     squarings: list[Squaring] = []
     trace: list[tuple] = []
     square_memo: dict[str, str] = {}
@@ -265,11 +242,11 @@ def eliminate_mul(prog: TACProgram) -> IntermediateSystem:
         op, d = step[0], step[1]
         if op == "const":
             linear.append(LinearEq({d: 1}, -step[2]))
-        elif op == "add":
+        elif op in ("add", "sub"):
             coeffs = {d: 1}
-            for v in step[2:]:
-                coeffs[v] = coeffs.get(v, 0) - 1
-            linear.append(LinearEq(coeffs, 0))
+            for v, c in zip(step[2:], (-1, 1 if op == "sub" else -1)):
+                coeffs[v] = coeffs.get(v, 0) + c
+            linear.append(LinearEq({v: c for v, c in coeffs.items() if c}, 0))
         else:
             a, b = step[2], step[3]
             if a == b:
@@ -286,9 +263,6 @@ def eliminate_mul(prog: TACProgram) -> IntermediateSystem:
                 qb = square_of(b)
                 linear.append(LinearEq({qs: 1, qa: -1, qb: -1, d: -2}, 0))
                 counts["muls_distinct"] += 1
-    for x, y in prog.equalities:
-        if x != y:
-            linear.append(LinearEq({x: 1, y: -1}, 0))
     return IntermediateSystem(source_vars=prog.source_vars,
                               variables=tuple(variables),
                               linear=linear,

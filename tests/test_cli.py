@@ -131,6 +131,13 @@ class TestPadic:
         assert code == 1 and out == "" and "(resource guard)" in err
         assert time.monotonic() - t0 < 1
 
+    def test_poly_degree_guard(self, capsys):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "padic", "norm", "--p", "3",
+                             "--poly", "(z+2)^1000+1", "--rho", "1")
+        assert code == 1 and out == "" and "(resource guard)" in err
+        assert time.monotonic() - t0 < 1
+
     def test_fmt(self, capsys):
         payload = run_json(capsys, "padic", "fmt", "--p", "2", "--num", "z-1",
                            "--den", "z", "--a", "1", "--rhos=-3,-1,0,2,5",
@@ -174,6 +181,22 @@ class TestCompileCheck:
         code, out, _ = run(capsys, "compile", "--in", str(src))
         assert code == 0
         assert "square:" in out and "linear:" in out
+
+    def test_compile_linear_size(self, capsys, tmp_path):
+        src = tmp_path / "sys.dioph"
+        src.write_text("x = (a+b+c+d)^4096\n")
+        t0 = time.monotonic()
+        payload = run_json(capsys, "compile", "--in", str(src), "--emit", "json")
+        assert time.monotonic() - t0 < 1
+        assert len(payload["vars"]) < 200
+
+    def test_gadget_bound_guard(self, capsys, tmp_path):
+        src = tmp_path / "sys.dioph"
+        src.write_text("x = (a+b)^12\n")
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "check", "--in", str(src), "--box", "3")
+        assert code == 1 and out == "" and "(resource guard)" in err
+        assert time.monotonic() - t0 < 1
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "compile", "--in", "missing.dioph")

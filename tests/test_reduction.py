@@ -1,14 +1,16 @@
 import random
 import re
+from itertools import product
 
 import pytest
 
 from buchi import sequences
 from buchi.reduction import (ParseError, TACProgram, bounded_equisat,
                              compile_system, eliminate_mul, encode_square,
-                             evaluate, lower_tac, parse, parse_poly,
+                             evaluate, expand, lower_tac, parse, parse_poly,
                              print_formulas, run_trace, translate_witness,
                              validate_target)
+from buchi.reduction.parser import MAX_POLY_DEGREE
 from buchi.symbolic import UPoly
 
 
@@ -63,6 +65,27 @@ class TestParser:
             parse_poly("z = 1")
 
 
+    def test_parse_poly_matches_mpoly_route(self):
+        # The multivariate route parse_poly used to take, kept as oracle:
+        # expand over MPoly, then read the coefficients off by degree.
+        def via_mpoly(text):
+            poly = expand(parse(f"{text} = 0").equations[0].expr, ("z",))
+            coeffs = {e[0]: c for e, c in poly.terms.items()}
+            return UPoly([coeffs.get(k, 0) for k in range(max(coeffs, default=0) + 1)])
+
+        rng = random.Random(52)
+        for _ in range(300):
+            text = rand_expr(rng, ["z"], 4)
+            assert parse_poly(text) == via_mpoly(text), text
+
+    def test_parse_poly_degree_guard(self):
+        assert parse_poly(f"z^{MAX_POLY_DEGREE}").degree == MAX_POLY_DEGREE
+        with pytest.raises(ValueError, match="resource guard"):
+            parse_poly(f"(z+2)^{MAX_POLY_DEGREE + 1}")
+        with pytest.raises(ValueError, match="resource guard"):
+            parse_poly("((z^2+1)^20)^20")
+
+
 class TestLowering:
     def test_single_product(self):
         prog = lower_tac(parse("x*y = 6"))
@@ -86,6 +109,34 @@ class TestLowering:
             full = run_trace(prog.instrs, dict(env))
             assert all(full[a] == full[b] for a, b in prog.equalities) == source_sat
 
+    def test_random_systems_keep_solutions(self):
+        # Nested sums and powers, negated factors, zero and negative
+        # coefficients and constant-only equations: on a box, the
+        # program's equalities (and the compiled target) hold exactly
+        # where the source equations do.
+        rng = random.Random(44)
+        for _ in range(100):
+            eqs = [f"{rand_expr(rng, ['a', 'b', 'c'], 3)} = {rand_expr(rng, ['a', 'b'], 2)}"
+                   for _ in range(rng.randint(1, 2))]
+            if rng.random() < 0.3:
+                eqs.append(f"{rand_expr(rng, [], 2)} = {rand_expr(rng, [], 2)}")
+            system = parse("; ".join(eqs))
+            prog = lower_tac(system)
+            target = compile_system(system, m=3)
+            validate_target(target)
+            for combo in product(range(-2, 3), repeat=len(system.variables)):
+                env = dict(zip(system.variables, combo))
+                sat = all(evaluate(eq.expr, env) == 0 for eq in system.equations)
+                full = run_trace(prog.instrs, dict(env))
+                assert all(full[x] == full[y] for x, y in prog.equalities) == sat, eqs
+                assert target.satisfied(target.extend(env)) == sat, eqs
+
+    def test_equal_subterms_share_one_temporary(self):
+        prog = lower_tac(parse("x = (a+b)*(a+b) + (b+a)^2"))
+        assert [s for s in prog.instrs if s[0] == "add" and set(s[2:]) == {"a", "b"}] \
+            == [("add", "_t0", "a", "b")]
+        assert len([s for s in prog.instrs if s[0] == "mul"]) == 1
+
     def test_ssa(self):
         prog = lower_tac(parse("x*y + x^2*y - 4 = x*y"))
         dests = [step[1] for step in prog.instrs]
@@ -96,10 +147,10 @@ class TestLowering:
 class TestRunTrace:
     def test_each_op(self):
         steps = (("const", "c", 4), ("add", "s", "x", "c"), ("mul", "m", "s", "x"),
-                 ("square", "q", "m"), ("shift", "w", "q", -3))
+                 ("square", "q", "m"), ("shift", "w", "q", -3), ("sub", "n", "c", "w"))
         env = {"x": 2}
         assert run_trace(steps, env) is env
-        assert env == {"x": 2, "c": 4, "s": 6, "m": 12, "q": 144, "w": 141}
+        assert env == {"x": 2, "c": 4, "s": 6, "m": 12, "q": 144, "w": 141, "n": -137}
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError, match="unknown trace step 'neg'"):
@@ -257,6 +308,25 @@ class TestCompile:
                 k + c["tac_temps"]
                 + (2 * m + 2) * c["muls_distinct"]
                 + (2 * m + 1) * operand_squares)
+
+
+def rand_expr(rng, names: list[str], depth: int) -> str:
+    """A random expression that parses as one factor."""
+    if depth == 0 or rng.random() < 0.25:
+        leaf = rng.choice(names + [str(rng.randint(0, 3))])
+        return leaf if rng.random() < 0.8 else f"-{leaf}"
+    a = rand_expr(rng, names, depth - 1)
+    b = rand_expr(rng, names, depth - 1)
+    kind = rng.randrange(5)
+    if kind == 0:
+        return f"({a} + {b})"
+    if kind == 1:
+        return f"({a} - {b})"
+    if kind == 2:
+        return f"{a}*{b}"
+    if kind == 3:
+        return f"{rng.randint(-3, 3)}*{a}"
+    return f"({a})^{rng.randint(0, 4)}"
 
 
 def rand_system_text(rng) -> str:
