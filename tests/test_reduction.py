@@ -64,7 +64,6 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_poly("z = 1")
 
-
     def test_parse_poly_matches_mpoly_route(self):
         # The multivariate route parse_poly used to take, kept as oracle:
         # expand over MPoly, then read the coefficients off by degree.
@@ -311,7 +310,8 @@ class TestCompile:
 
 
 def rand_expr(rng, names: list[str], depth: int) -> str:
-    """A random expression that parses as one factor."""
+    """A random expression over names and small integers; sums and
+    powers come parenthesized, so it can stand as a product's factor."""
     if depth == 0 or rng.random() < 0.25:
         leaf = rng.choice(names + [str(rng.randint(0, 3))])
         return leaf if rng.random() < 0.8 else f"-{leaf}"
