@@ -32,8 +32,9 @@ from .lower import LinearEq, eliminate_mul, lower_tac, run_trace
 from .parser import SourceSystem, evaluate
 
 
-# Largest gadget witness |w| bounded_equisat certifies: its certificate
-# sequences.search(5, 2000) takes about 0.4 s (2-vCPU VM, CPython 3.11).
+# Largest gadget witness |w| bounded_equisat certifies.  Its certificate
+# sequences.search(5, 2000) takes about 0.03 s (2-vCPU VM, CPython 3.11);
+# the budget is kept so that check accepts and refuses the same inputs.
 W_BOUND_BUDGET = 2000
 
 

@@ -25,7 +25,8 @@ extended by the forced temporary values that satisfies every equality.
 Both sides of each equation are lowered by one walk over the syntax
 tree, so the program grows with the input text, not with the monomials of
 the expanded polynomial.  Steps are hash-consed (equal subterms share one
-temporary) and subterms without variables fold to integers.  A power is
+temporary) and subterms without variables fold to integers, refused
+(resource guard) beyond parser.MAX_CONSTANT_BITS.  A power is
 square-and-multiply; a product multiplies its variable factors and
 applies its constant factor last by a doubling chain of additions, so
 every mul step is variable*variable and no constant enters a square.
@@ -45,7 +46,8 @@ from dataclasses import dataclass, field
 from functools import partial, reduce
 from math import prod
 
-from .parser import Add, Mul, Neg, Num, Pow, SourceSystem, Var
+from .parser import (Add, Mul, Neg, Num, Pow, SourceSystem, Var, bounded,
+                     bounded_pow)
 
 
 def run_trace(steps, env: dict[str, int]) -> dict[str, int]:
@@ -112,7 +114,7 @@ class _Lowerer:
             return node.name
         if isinstance(node, (Mul, Neg)):
             factors = self.factors(node)
-            c = prod(f for f in factors if isinstance(f, int))
+            c = bounded(prod(f for f in factors if isinstance(f, int)))
             names = [f for f in factors if isinstance(f, str)]
             return (self.scale(reduce(partial(self.step, "mul"), names), c)
                     if names and c else c)
@@ -120,7 +122,7 @@ class _Lowerer:
             return self.power(self.lower(node.base), node.exponent)
         left, right = self.lower(node.left), self.lower(node.right)
         if isinstance(left, int) and isinstance(right, int):
-            return left + right if isinstance(node, Add) else left - right
+            return bounded(left + right if isinstance(node, Add) else left - right)
         return self.step("add" if isinstance(node, Add) else "sub", left, right)
 
     def factors(self, node) -> list:
@@ -134,7 +136,7 @@ class _Lowerer:
     def power(self, base: str | int, k: int) -> str | int:
         """base**k by left-to-right square-and-multiply."""
         if isinstance(base, int):
-            return base ** k
+            return bounded_pow(base, k)
         if k == 0:
             return 1
         acc = base

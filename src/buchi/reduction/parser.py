@@ -9,6 +9,10 @@ Grammar (UTF-8, '#' comments, equations separated by ';'):
     factor   := ('-' | '+') factor | atom ['^' INT]
     atom     := INT | IDENT | '(' expr ')'
 
+An IDENT starts with a letter and goes on with letters, digits and '_';
+a leading '_' is refused, because the compiler names its target
+variables _t<n>, _u<n> and _w<n>.
+
 Equations are normalized on parse: lhs = rhs becomes (lhs - rhs) = 0.
 All positions are 1-based (line, column).
 """
@@ -20,6 +24,10 @@ from dataclasses import dataclass, field
 from ..symbolic import MPoly, UPoly
 
 MAX_EXPONENT = 4096
+# Largest integer, in bits, that folding or evaluation builds: the target
+# prints its constants in decimal, and CPython prints at most 4300 digits
+# (about 14,284 bits) by default.
+MAX_CONSTANT_BITS = 14_000
 # parse_poly expands over Fraction: (z+2)**200 takes about 0.2 s and
 # (z+2)**1000 about 4 s (2-vCPU VM, CPython 3.11).
 MAX_POLY_DEGREE = 200
@@ -80,6 +88,10 @@ def tokenize(text: str) -> list[Token]:
             start = i
             while i < n and (text[i].isalnum() or text[i] == "_"):
                 i += 1
+            if ch == "_":
+                raise ParseError(f"identifier {text[start:i]!r} starts with '_', which "
+                                 "is reserved for the target variables _t, _u and _w",
+                                 line, col)
             tokens.append(Token("IDENT", text[start:i], line, col))
             col += i - start
             continue
@@ -258,8 +270,28 @@ def collect_variables(expr, out: set[str]) -> None:
         collect_variables(expr.base, out)
 
 
+def bounded(value: int) -> int:
+    """value, refused (resource guard) beyond MAX_CONSTANT_BITS bits."""
+    if value.bit_length() > MAX_CONSTANT_BITS:
+        raise ValueError(f"integer of {value.bit_length()} bits > {MAX_CONSTANT_BITS} "
+                         "refused (resource guard)")
+    return value
+
+
+def bounded_pow(base: int, k: int) -> int:
+    """bounded(base**k).  Since |base|**k >= 2**((bit_length(base) - 1)*k),
+    a power that must exceed MAX_CONSTANT_BITS bits is refused before it
+    is computed."""
+    if (base.bit_length() - 1) * k >= MAX_CONSTANT_BITS:
+        raise ValueError(f"integer power of more than {MAX_CONSTANT_BITS} bits "
+                         "refused (resource guard)")
+    return bounded(base ** k)
+
+
 def evaluate(expr, env) -> int:
-    """Direct AST evaluation over the integers."""
+    """Direct AST evaluation over the integers; a power beyond
+    MAX_CONSTANT_BITS bits is refused.  Sums and products grow at most
+    linearly with the text, so they are not checked."""
     if isinstance(expr, Num):
         return expr.value
     if isinstance(expr, Var):
@@ -273,7 +305,7 @@ def evaluate(expr, env) -> int:
     if isinstance(expr, Neg):
         return -evaluate(expr.operand, env)
     if isinstance(expr, Pow):
-        return evaluate(expr.base, env) ** expr.exponent
+        return bounded_pow(evaluate(expr.base, env), expr.exponent)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -303,20 +335,25 @@ def expand(expr, variables: tuple[str, ...]) -> MPoly:
                  lambda name: MPoly.var(name, variables))
 
 
-def _degree_bound(expr) -> int:
-    """An upper bound on the total degree of expr, read off the AST."""
+def _size_bound(expr) -> tuple[int, int]:
+    """Upper bounds on the total degree of expr and on the sum of the
+    absolute values of its coefficients, read off the AST; the sum is
+    refused beyond MAX_CONSTANT_BITS bits."""
     if isinstance(expr, Num):
-        return 0
+        return 0, expr.value
     if isinstance(expr, Var):
-        return 1
+        return 1, 1
     if isinstance(expr, (Add, Sub)):
-        return max(_degree_bound(expr.left), _degree_bound(expr.right))
+        (d1, n1), (d2, n2) = _size_bound(expr.left), _size_bound(expr.right)
+        return max(d1, d2), bounded(n1 + n2)
     if isinstance(expr, Mul):
-        return _degree_bound(expr.left) + _degree_bound(expr.right)
+        (d1, n1), (d2, n2) = _size_bound(expr.left), _size_bound(expr.right)
+        return d1 + d2, bounded(n1 * n2)
     if isinstance(expr, Neg):
-        return _degree_bound(expr.operand)
+        return _size_bound(expr.operand)
     if isinstance(expr, Pow):
-        return _degree_bound(expr.base) * expr.exponent
+        degree, norm = _size_bound(expr.base)
+        return degree * expr.exponent, bounded_pow(norm, expr.exponent)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -325,7 +362,8 @@ def parse_poly(text: str, var: str = "z") -> UPoly:
 
     Shares the system grammar (minus '=' and ';'); any identifier other
     than `var` is rejected, and so is an expression whose degree bound
-    exceeds MAX_POLY_DEGREE.
+    exceeds MAX_POLY_DEGREE or whose bound on the sum of its coefficients'
+    absolute values exceeds MAX_CONSTANT_BITS bits.
     """
     tokens = tokenize(text)
     if tokens[0].kind == "EOF":
@@ -338,7 +376,7 @@ def parse_poly(text: str, var: str = "z") -> UPoly:
     if not names <= {var}:
         bad = sorted(names - {var})[0]
         raise ParseError(f"unknown variable {bad!r} (only {var!r} is allowed)", 1, 1)
-    degree = _degree_bound(expr)
+    degree, _ = _size_bound(expr)
     if degree > MAX_POLY_DEGREE:
         raise ValueError(f"polynomial degree bound {degree} > {MAX_POLY_DEGREE} "
                          "refused (resource guard)")

@@ -17,10 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 
 from .exact import as_fraction, is_square_int, is_square_rat
 from .symbolic import MPoly
+
+# Largest scans accepted (resource guards), from in-process times on a
+# 2-vCPU VM (CPython 3.11): the integer-node scan at height 5000 takes up
+# to about 1.1 s, and a grid of 3.8*10**6 pairs (rational height 40)
+# about 1.4 s.
+SCAN_HEIGHT_BUDGET = 5_000
+SCAN_GRID_BUDGET = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -297,6 +304,56 @@ def _rationals_up_to(height: int) -> list[Fraction]:
     return sorted(vals)
 
 
+def _grid_side(height: int, integers_only: bool) -> int:
+    """How many values of height at most `height` the grid draws u and v
+    from: 2h + 1 integers, or 0 and +-p/q for the 2*(phi(1) + ... +
+    phi(h)) - 1 coprime pairs (p, q) in [1, h]**2."""
+    if integers_only:
+        return 2 * height + 1
+    phi = list(range(height + 1))
+    for p in range(2, height + 1):
+        if phi[p] == p:
+            for k in range(p, height + 1, p):
+                phi[k] -= phi[k] // p
+    return 4 * sum(phi[1:]) - 1
+
+
+def _scan_integer_nodes(nodes: list[int], height: int) -> list[MonicQuadratic]:
+    found = []
+    for u in range(-height, height + 1):
+        bases = sorted((a * a + u * a for a in nodes), reverse=True)
+        top, rest = bases[0], bases[1:]
+        # v = s**2 - top over the squares s**2 in [top - height, top + height].
+        s = isqrt(max(0, top - height))
+        if s * s < top - height:
+            s += 1
+        while (v := s * s - top) <= height:
+            s += 1
+            if u * u != 4 * v and all(is_square_int(b + v) for b in rest):
+                found.append(MonicQuadratic(u, v))
+    return found
+
+
+def _scan_grid(nodes: tuple[Fraction, ...], values: list[Fraction]) -> list[MonicQuadratic]:
+    # n/d + p/q is a rational square iff (n*q + p*d)*d*q is a square.
+    pairs = [(v, v.numerator, v.denominator) for v in values]
+    found = []
+    for u in values:
+        bases = [(b.numerator, b.denominator) for b in (a * a + u * a for a in nodes)]
+        square = u * u / 4  # v = u**2/4 makes f a square polynomial
+        sn, sd = square.numerator, square.denominator
+        for v, p, q in pairs:
+            if p == sn and q == sd:
+                continue
+            for n, d in bases:
+                x = (n * q + p * d) * d * q
+                if x < 0 or isqrt(x) ** 2 != x:
+                    break
+            else:
+                found.append(MonicQuadratic(u, v))
+    return found
+
+
 def scan_exceptional(nodes: EvaluationNodes, height: int,
                      integers_only: bool = False) -> list[MonicQuadratic]:
     """All non-square f = x**2 + u*x + v of height at most `height` whose
@@ -306,34 +363,33 @@ def scan_exceptional(nodes: EvaluationNodes, height: int,
     terms.  The output is a list of candidates below the bound, in
     ascending (u, v) order; no finiteness or completeness beyond the
     bound is implied.
+
+    With integers_only and integer nodes, each u takes v from the squares
+    near its largest node value, about O(height**1.5) work in all, and
+    refuses heights above SCAN_HEIGHT_BUDGET.  Otherwise it tests the
+    (u, v) grid on integer numerators and denominators, O(height**2)
+    pairs for integers and O(height**4) for rationals, and refuses grids
+    of more than SCAN_GRID_BUDGET pairs (both resource guards).
     """
     if len(nodes) < 3:
         raise ValueError("scan needs at least 3 nodes")
     if height < 1:
         raise ValueError("height must be >= 1")
-    found = []
     node_list = nodes.nodes
     if integers_only and all(a.denominator == 1 for a in node_list):
-        ints = [a.numerator for a in node_list]
-        rng = range(-height, height + 1)
-        for u in rng:
-            bases = [a * a + u * a for a in ints]
-            for v in rng:
-                if u * u == 4 * v:
-                    continue
-                if all(is_square_int(b + v) for b in bases):
-                    found.append(MonicQuadratic(u, v))
-        return found
+        if height > SCAN_HEIGHT_BUDGET:
+            raise ValueError(f"scan height {height} > {SCAN_HEIGHT_BUDGET} "
+                             "refused (resource guard)")
+        return _scan_integer_nodes([a.numerator for a in node_list], height)
+    # Every grid holds the (2h + 1)**2 integer pairs; check that first, so
+    # the exact count below stays cheap.
+    if (2 * height + 1) ** 2 > SCAN_GRID_BUDGET or \
+            _grid_side(height, integers_only) ** 2 > SCAN_GRID_BUDGET:
+        raise ValueError(f"scan grid of height {height} exceeds {SCAN_GRID_BUDGET} "
+                         "pairs, refused (resource guard)")
     values = ([Fraction(k) for k in range(-height, height + 1)]
               if integers_only else _rationals_up_to(height))
-    for u in values:
-        bases = [a * a + u * a for a in node_list]
-        for v in values:
-            if u * u == 4 * v:
-                continue
-            if all(is_square_rat(b + v) is not None for b in bases):
-                found.append(MonicQuadratic(u, v))
-    return found
+    return _scan_grid(node_list, values)
 
 
 def counterexample_family(N: int) -> tuple[MonicQuadratic, list[int], list[int]]:

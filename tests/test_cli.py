@@ -50,6 +50,13 @@ class TestSeq:
                            "--bound", "500", "--json")
         assert payload["nontrivial"] == []
 
+    def test_search_bound_guard(self, capsys):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "seq", "search", "--length", "3",
+                             "--bound", "1000000")
+        assert code == 1 and out == "" and "(resource guard)" in err
+        assert time.monotonic() - t0 < 1
+
 
 class TestSurface:
     def test_check(self, capsys):
@@ -71,6 +78,20 @@ class TestSurface:
         assert payload["count"] == 0
         assert "candidates" in payload["label"]
         assert "growth" in payload
+
+    def test_scan_height_guard(self, capsys):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "surface", "scan", "--nodes", "1,2,3",
+                             "--height", "100000", "--integers-only")
+        assert code == 1 and out == "" and "(resource guard)" in err
+        assert time.monotonic() - t0 < 1
+
+    def test_scan_grid_guard(self, capsys):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "surface", "scan", "--nodes=1/2,1,3",
+                             "--height", "100")
+        assert code == 1 and out == "" and "(resource guard)" in err
+        assert time.monotonic() - t0 < 1
 
     def test_family(self, capsys):
         payload = run_json(capsys, "surface", "family", "--N", "2", "--json")
@@ -189,6 +210,25 @@ class TestCompileCheck:
         payload = run_json(capsys, "compile", "--in", str(src), "--emit", "json")
         assert time.monotonic() - t0 < 1
         assert len(payload["vars"]) < 200
+
+    def test_reserved_names_refused(self, capsys, tmp_path):
+        src = tmp_path / "sys.dioph"
+        src.write_text("x*y = _t0\n")
+        code, out, err = run(capsys, "check", "--in", str(src), "--box", "2")
+        assert code == 1 and out == ""
+        assert "reserved for the target variables _t, _u and _w" in err
+        src.write_text("x*t0 = u_1\n")
+        code, out, _ = run(capsys, "compile", "--in", str(src))
+        assert code == 0 and "t0" in out and "u_1" in out
+
+    def test_constant_budget(self, capsys, tmp_path):
+        src = tmp_path / "sys.dioph"
+        for text in ("x = (9^4096)^2\n", "x = ((9^4096)^4096)^4096\n"):
+            src.write_text(text)
+            t0 = time.monotonic()
+            code, out, err = run(capsys, "compile", "--in", str(src))
+            assert code == 1 and out == "" and "(resource guard)" in err
+            assert time.monotonic() - t0 < 1
 
     def test_gadget_bound_guard(self, capsys, tmp_path):
         src = tmp_path / "sys.dioph"

@@ -84,6 +84,32 @@ class TestParser:
         with pytest.raises(ValueError, match="resource guard"):
             parse_poly("((z^2+1)^20)^20")
 
+    def test_reserved_underscore_prefix(self):
+        for text in ("x*y = _t0", "_u1 = 2", "x = _w0 + 1", "_ = 1"):
+            with pytest.raises(ParseError, match="_t, _u and _w"):
+                parse(text)
+        system = parse("x*t0 = u_1 + t_")
+        assert system.variables == ("t0", "t_", "u_1", "x")
+        validate_target(compile_system(system, m=5))
+
+    def test_constant_budget(self):
+        # 9^4096 has 12,984 bits and folds; its square would have 25,968.
+        prog = lower_tac(parse("x = 9^4096"))
+        assert [step[2] for step in prog.instrs if step[0] == "const"] == [9 ** 4096]
+        for text in ("x = (9^4096)^2", "x = ((9^4096)^4096)^4096",
+                     "x = 9^4096 * 9^4096", "x = 2^4096 * 2^4096 * 2^4096 * 2^4096"):
+            with pytest.raises(ValueError, match="resource guard"):
+                lower_tac(parse(text))
+        assert evaluate(parse("x = (y^4096)^3").equations[0].expr.right,
+                        {"y": 2}) == 2 ** 12288
+        with pytest.raises(ValueError, match="resource guard"):
+            evaluate(parse("x = (y^4096)^4096").equations[0].expr.right, {"y": 2})
+        with pytest.raises(ValueError, match="resource guard"):
+            parse_poly("(9^4096)^4096")
+        with pytest.raises(ValueError, match="resource guard"):
+            parse_poly("(z + 9^4096)^200")
+        assert parse_poly("9^4096 * z").coeffs == (0, 9 ** 4096)
+
 
 class TestLowering:
     def test_single_product(self):

@@ -3,8 +3,47 @@ import random
 
 import pytest
 
-from buchi.sequences import (BuchiSequence, classify_trivial, closed_form,
-                             is_buchi, search, second_difference)
+from buchi.sequences import (SEARCH_BOUND_BUDGET, BuchiSequence,
+                             classify_trivial, closed_form, is_buchi, search,
+                             second_difference)
+
+
+def pair_search(length, bound):
+    """The pair loop search ran before the factor-pair enumeration, kept
+    as its oracle: every (x_1, x_2) of opposite parity in [0, bound]**2,
+    extended by the closed form and tested against a set of squares."""
+    dbl_squares = [2 * x * x for x in range(bound + 1)]
+    # Largest forced square over every admissible pair and index.
+    max_sq = max(closed_form(0, bound * bound, n) for n in range(3, length + 1))
+    max_sq = max(max_sq, bound * bound)
+    square_set = {y * y for y in range(math.isqrt(max_sq) + 1)}
+
+    found = []
+    for x1 in range(bound + 1):
+        s1 = x1 * x1
+        c = 2 - s1
+        # s_3 = 2 - s_1 + 2*s_2 is 2 or 3 mod 4 unless x_1, x_2 have
+        # opposite parity, and no square is 2 or 3 mod 4.
+        start = 1 if x1 % 2 == 0 else 0
+        for x2 in range(start, bound + 1, 2):
+            s2 = dbl_squares[x2] >> 1
+            s3 = c + dbl_squares[x2]
+            if s3 not in square_set:
+                continue
+            squares = [s1, s2, s3]
+            ok = True
+            for n in range(4, length + 1):
+                sn = closed_form(s1, s2, n)
+                if sn < 0 or sn not in square_set:
+                    ok = False
+                    break
+                squares.append(sn)
+            if not ok:
+                continue
+            seq = BuchiSequence(tuple(math.isqrt(s) for s in squares[:length]))
+            if classify_trivial(seq) is None:
+                found.append(seq)
+    return found
 
 
 class TestSecondDifference:
@@ -151,3 +190,30 @@ class TestSearch:
             search(2, 10)
         with pytest.raises(ValueError):
             search(4, 0)
+
+    def test_matches_pair_loop(self):
+        rng = random.Random(2024)
+        for length in range(3, 7):
+            bounds = [1, 2, 3, 7, 400] + [rng.randint(4, 400) for _ in range(4)]
+            for bound in bounds:
+                assert search(length, bound) == pair_search(length, bound), \
+                    (length, bound)
+        assert len(search(3, 300)) == 581
+
+    def test_trivial_exactly_when_first_two_differ_by_one(self):
+        # every length-3 solution with x_1, x_2 <= 300, trivial ones included
+        checked = 0
+        for x1 in range(301):
+            for x2 in range(301):
+                s3 = 2 - x1 * x1 + 2 * x2 * x2
+                x3 = math.isqrt(s3) if s3 >= 0 else -1
+                if x3 * x3 != s3:
+                    continue
+                seq = BuchiSequence((x1, x2, x3))
+                assert (classify_trivial(seq) is not None) == (abs(x1 - x2) == 1)
+                checked += 1
+        assert checked > 581
+
+    def test_bound_budget(self):
+        with pytest.raises(ValueError, match="resource guard"):
+            search(3, SEARCH_BOUND_BUDGET + 1)

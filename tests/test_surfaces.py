@@ -4,14 +4,44 @@ from math import factorial
 
 import pytest
 
-from buchi.exact import is_square_rat
-from buchi.surfaces import (BuchiSurface, EvaluationNodes, MonicQuadratic,
+from buchi.exact import is_square_int, is_square_rat
+from buchi.surfaces import (SCAN_HEIGHT_BUDGET, BuchiSurface, EvaluationNodes, MonicQuadratic,
                             ProjectivePoint, conic_integrality_identity,
                             contains, counterexample_family, f_of_point,
                             j_of_f, jacobian_rank, scan_exceptional,
                             square_iff_trivial, surface_equations,
                             trivial_line_member)
 from helpers import rand_fraction
+
+
+def grid_scan(nodes, height, integers_only=False):
+    """The grid loops scan_exceptional ran before it enumerated squares,
+    kept as its oracle: every (u, v) pair, tested with is_square_int on
+    integer nodes and with Fraction arithmetic otherwise."""
+    found = []
+    node_list = nodes.nodes
+    if integers_only and all(a.denominator == 1 for a in node_list):
+        ints = [a.numerator for a in node_list]
+        rng = range(-height, height + 1)
+        for u in rng:
+            bases = [a * a + u * a for a in ints]
+            for v in rng:
+                if u * u == 4 * v:
+                    continue
+                if all(is_square_int(b + v) for b in bases):
+                    found.append(MonicQuadratic(u, v))
+        return found
+    values = ([Fraction(k) for k in range(-height, height + 1)] if integers_only
+              else sorted({Fraction(p, q) for q in range(1, height + 1)
+                           for p in range(-height, height + 1)}))
+    for u in values:
+        bases = [a * a + u * a for a in node_list]
+        for v in values:
+            if u * u == 4 * v:
+                continue
+            if all(is_square_rat(b + v) is not None for b in bases):
+                found.append(MonicQuadratic(u, v))
+    return found
 
 
 def rand_nodes(rng, n, max_num=12):
@@ -232,6 +262,52 @@ class TestScan:
         generic_nodes = EvaluationNodes((Fraction(1, 2), 1, 2))
         assert scan_exceptional(generic_nodes, 12, integers_only=True) == \
             brute(generic_nodes, 12)
+
+    def test_integer_nodes_match_grid(self):
+        rng = random.Random(73)
+        cases = [((0, 1, 3), 60), ((1, 2, 3), 200), ((-3, -2, 5), 150),
+                 ((-1000, 3, 7), 200), ((1, 2, 3, 4), 120), ((0, 5, 2000), 100)]
+        # each has a candidate with v just below -height, which must stay out
+        cases += [((-4, -6, 8), 20), ((-7, 7, -5), 20), ((8, 3, 5), 60),
+                  ((4, 5, 2), 150)]
+        for _ in range(12):
+            ints = rng.sample(range(-8, 9), 3)
+            if rng.random() < 0.2:
+                ints[2] = rng.choice((-1, 1)) * rng.randint(100, 3000)
+            cases.append((tuple(ints), rng.randint(60, 200)))
+        hits = 0
+        for ints, height in cases:
+            nodes = EvaluationNodes(ints)
+            found = scan_exceptional(nodes, height, integers_only=True)
+            assert found == grid_scan(nodes, height, True), (ints, height)
+            hits += len(found)
+        assert hits >= 30
+
+    def test_rational_grid_matches_fraction_grid(self):
+        rng = random.Random(73)
+        small = sorted({Fraction(p, q) for p in range(-4, 5) for q in (1, 2)})
+        cases = [((Fraction(1, 2), 1, 3), 12), ((0, 1, 2), 8), ((-3, 6, -1, 3), 6)]
+        cases += [(tuple(rng.sample(small, 3)), rng.randint(6, 10)) for _ in range(8)]
+        hits = 0
+        for ns, height in cases:
+            nodes = EvaluationNodes(ns)
+            found = scan_exceptional(nodes, height)
+            assert found == grid_scan(nodes, height), (ns, height)
+            height = 3 * height
+            found_int = scan_exceptional(nodes, height, integers_only=True)
+            assert found_int == grid_scan(nodes, height, True), (ns, height)
+            hits += len(found) + len(found_int)
+        assert hits >= 10
+
+    def test_budgets(self):
+        nodes = EvaluationNodes((1, 2, 3))
+        with pytest.raises(ValueError, match="resource guard"):
+            scan_exceptional(nodes, SCAN_HEIGHT_BUDGET + 1, integers_only=True)
+        with pytest.raises(ValueError, match="resource guard"):
+            scan_exceptional(nodes, 41)
+        with pytest.raises(ValueError, match="resource guard"):
+            scan_exceptional(EvaluationNodes((Fraction(1, 2), 1, 3)), 1000,
+                             integers_only=True)
 
     def test_needs_three_nodes(self):
         with pytest.raises(ValueError):
