@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import nevanlinna, reduction, sequences, surfaces
 from .exact import as_fraction
-from .symbolic import RatFunc
+from .symbolic import RatFunc, UPoly
 
 
 def _rat_list(text: str) -> list[Fraction]:
@@ -38,8 +38,8 @@ def _emit(args, payload: dict, human: str) -> None:
 def _ratfunc(args, num_attr: str = "num", den_attr: str = "den") -> RatFunc:
     num = reduction.parse_poly(getattr(args, num_attr))
     den_text = getattr(args, den_attr, None)
-    den = reduction.parse_poly(den_text) if den_text else None
-    return RatFunc(num, den) if den is not None else RatFunc(num)
+    den = reduction.parse_poly(den_text) if den_text else UPoly.constant(1)
+    return nevanlinna.quotient(num, den)
 
 
 def _cmd_seq_search(args) -> int:

@@ -126,6 +126,30 @@ def _as_ratfunc(f) -> RatFunc:
     return RatFunc(f)
 
 
+def _bits(*polys: UPoly) -> int:
+    """Largest numerator or denominator, in bits, of any coefficient."""
+    return max([max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+                for h in polys for c in h.coeffs] or [0])
+
+
+# Largest min(deg) * max(deg) * bits of a quotient whose canonicalizing
+# gcd `quotient` runs (resource guard).  On random dense integer inputs
+# (2-vCPU VM, CPython 3.11) that gcd took at most 0.32 s from 9*10**4 to
+# 1.5*10**5 over 50 shapes up to degree 200 and 4000 bits, 0.4-0.9 s at
+# 2-3*10**5 and 6-7 s at 10**6.
+QUOTIENT_GCD_BUDGET = 150_000
+
+
+def quotient(num: UPoly, den: UPoly) -> RatFunc:
+    """num/den in canonical form; refused (resource guard) before its gcd
+    when min(deg) * max(deg) * bits exceeds QUOTIENT_GCD_BUDGET."""
+    cost = min(num.degree, den.degree) * max(num.degree, den.degree) * _bits(num, den)
+    if cost > QUOTIENT_GCD_BUDGET:
+        raise ValueError(f"quotient gcd size {cost} > {QUOTIENT_GCD_BUDGET} refused "
+                         "(resource guard)")
+    return RatFunc(num, den)
+
+
 def _minus(f: RatFunc, a: Fraction) -> UPoly:
     """The numerator of f - a over the denominator f.den: f is canonical,
     so num - a*den stays coprime to den."""
@@ -350,16 +374,37 @@ def check_smt(f, targets, p: int, rhos) -> SmtReport:
                      eventual_slope=v2 - v1)
 
 
+# Budgets of delta_identity (resource guards), in terms of E = deg f.den
+# + deg u.den, the bound 2G on the degree of g's numerator and the bits B
+# of the input's largest coefficient.  Polynomial f and u (E = 0) cost
+# products only: on random dense inputs (G + E)*B up to 6000 took at most
+# 0.55 s, 6000-13,000 up to 1.3 s, and (z+1)**200 with (z+3)**200
+# (79,400) 3.6 s.  Each unit of E adds gcds of growing size: E*(G + E)*B
+# from 300 to 600 took at most 0.42 s, 600-1000 up to 1.1 s, and about
+# 1500 from 1 to 4 s (2-vCPU VM, CPython 3.11).
+DELTA_SIZE_BUDGET = 6_000
+DELTA_GCD_BUDGET = 600
+
+
 def delta_identity(f, u, a) -> bool:
     """With g = (a + f)**2 - u**2 (so h = u satisfies h**2 = (a+f)**2 - g),
     checks the exact factorization
 
         g'**2 - 4*f'**2*g = 4*u*(u*f'**2 - u'**2*u - u'*g')
 
-    which holds identically for every rational f, u and constant a."""
+    which holds identically for every rational f, u and constant a.
+    Refuses inputs beyond DELTA_SIZE_BUDGET or DELTA_GCD_BUDGET."""
     f = _as_ratfunc(f)
     u = _as_ratfunc(u)
     a = as_fraction(a)
+    e = f.den.degree + u.den.degree
+    half_deg_g = max(max(f.num.degree, f.den.degree) + u.den.degree,
+                     u.num.degree + f.den.degree)
+    size = (half_deg_g + e) * _bits(f.num, f.den, u.num, u.den)
+    if size > DELTA_SIZE_BUDGET or e * size > DELTA_GCD_BUDGET:
+        raise ValueError(f"delta input of size {size} and denominator degree {e} "
+                         f"refused (resource guard): the budgets are size <= "
+                         f"{DELTA_SIZE_BUDGET} and degree * size <= {DELTA_GCD_BUDGET}")
     g = (f + a) ** 2 - u ** 2
     fp = f.derivative()
     up = u.derivative()

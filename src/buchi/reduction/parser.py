@@ -28,9 +28,14 @@ MAX_EXPONENT = 4096
 # prints its constants in decimal, and CPython prints at most 4300 digits
 # (about 14,284 bits) by default.
 MAX_CONSTANT_BITS = 14_000
-# parse_poly expands over Fraction: (z+2)**200 takes about 0.2 s and
-# (z+2)**1000 about 4 s (2-vCPU VM, CPython 3.11).
+# parse_poly expands on integer coefficients, and schoolbook products
+# make its cost grow about as degree**2 * bits, with the degree bound and
+# the bits of the coefficient-sum bound (2-vCPU VM, CPython 3.11):
+# (z+2)**200 takes about 0.01 s, (524287*z+524287)**200 (4000 bits, 1.6
+# * 10**8) about 0.3 s, and ((2**62-1)*z+2**62-1)**200 (12,600 bits)
+# 2 s.  A polynomial of degree 1 may still take MAX_CONSTANT_BITS bits.
 MAX_POLY_DEGREE = 200
+MAX_POLY_SIZE = 160_000_000
 
 
 class ParseError(ValueError):
@@ -362,8 +367,9 @@ def parse_poly(text: str, var: str = "z") -> UPoly:
 
     Shares the system grammar (minus '=' and ';'); any identifier other
     than `var` is rejected, and so is an expression whose degree bound
-    exceeds MAX_POLY_DEGREE or whose bound on the sum of its coefficients'
-    absolute values exceeds MAX_CONSTANT_BITS bits.
+    exceeds MAX_POLY_DEGREE, whose bound on the sum of its coefficients'
+    absolute values exceeds MAX_CONSTANT_BITS bits, or for which the
+    degree bound squared times the bits of that sum exceeds MAX_POLY_SIZE.
     """
     tokens = tokenize(text)
     if tokens[0].kind == "EOF":
@@ -376,8 +382,12 @@ def parse_poly(text: str, var: str = "z") -> UPoly:
     if not names <= {var}:
         bad = sorted(names - {var})[0]
         raise ParseError(f"unknown variable {bad!r} (only {var!r} is allowed)", 1, 1)
-    degree, _ = _size_bound(expr)
+    degree, norm = _size_bound(expr)
     if degree > MAX_POLY_DEGREE:
         raise ValueError(f"polynomial degree bound {degree} > {MAX_POLY_DEGREE} "
+                         "refused (resource guard)")
+    if degree ** 2 * norm.bit_length() > MAX_POLY_SIZE:
+        raise ValueError(f"polynomial of degree {degree} with a {norm.bit_length()}-bit "
+                         f"coefficient bound: degree**2 * bits > {MAX_POLY_SIZE} "
                          "refused (resource guard)")
     return _fold(expr, UPoly.constant, lambda name: UPoly.x())

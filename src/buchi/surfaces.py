@@ -28,6 +28,11 @@ from .symbolic import MPoly
 # about 1.4 s.
 SCAN_HEIGHT_BUDGET = 5_000
 SCAN_GRID_BUDGET = 4_000_000
+# Largest N of the counterexample family accepted (resource guard): at
+# N = 500 the nodes and roots have up to 2568 digits and `surface family
+# --json` prints 2 MB in about 0.3 s; from N = 780 on, (2N)! has more
+# digits than CPython converts to a string by default.
+FAMILY_N_BUDGET = 500
 
 
 @dataclass(frozen=True)
@@ -148,19 +153,22 @@ class TrivialLineWitness:
     nu: Fraction | None
 
 
+def _forms(s: BuchiSurface):
+    """(i, c_0, c_1, c_2, c_i) for each defining form c_0*x_0**2 +
+    c_1*x_1**2 + c_2*x_2**2 + c_i*x_i**2 = 0, i = 3..n; no other
+    coefficient of a form is nonzero."""
+    d2 = s.deltas[0]
+    for i, di in enumerate(s.deltas[1:], 3):
+        yield i, di * d2 * (di - d2), -(di - d2), di, -d2
+
+
 def surface_equations(s: BuchiSurface) -> list[tuple[Fraction, ...]]:
     """Coefficient vectors (c_0..c_n) of the n-2 defining forms, each
     meaning sum of c_j*x_j**2 = 0."""
-    n = s.n
-    d2 = s.deltas[0]
     eqs = []
-    for i in range(3, n + 1):
-        di = s.deltas[i - 2]
-        c = [Fraction(0)] * (n + 1)
-        c[0] = di * d2 * (di - d2)
-        c[1] = -(di - d2)
-        c[2] = di
-        c[i] = -d2
+    for i, c0, c1, c2, ci in _forms(s):
+        c = [Fraction(0)] * (s.n + 1)
+        c[0], c[1], c[2], c[i] = c0, c1, c2, ci
         eqs.append(tuple(c))
     return eqs
 
@@ -171,11 +179,12 @@ def _check_arity(s: BuchiSurface, p: ProjectivePoint) -> None:
 
 
 def contains(s: BuchiSurface, p: ProjectivePoint) -> bool:
-    """Exact membership: every defining form vanishes at p."""
+    """Exact membership: every defining form vanishes at p.  Each form
+    has four nonzero coefficients, so this takes O(n) operations."""
     _check_arity(s, p)
     sq = [c * c for c in p.coords]
-    return all(sum(cj * sj for cj, sj in zip(eq, sq)) == 0
-               for eq in surface_equations(s))
+    return all(c0 * sq[0] + c1 * sq[1] + c2 * sq[2] + ci * sq[i] == 0
+               for i, c0, c1, c2, ci in _forms(s))
 
 
 def trivial_line_member(s: BuchiSurface, p: ProjectivePoint) -> TrivialLineWitness | None:
@@ -399,10 +408,13 @@ def counterexample_family(N: int) -> tuple[MonicQuadratic, list[int], list[int]]
     sequence.
 
     Returns (f_N, nodes, roots) with f_N(a_i) = roots[i]**2 checked
-    exactly; roots[i] = |i! - (2N)!/i!|.
+    exactly; roots[i] = |i! - (2N)!/i!|.  Refuses N above
+    FAMILY_N_BUDGET (resource guard).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    if N > FAMILY_N_BUDGET:
+        raise ValueError(f"N = {N} > {FAMILY_N_BUDGET} refused (resource guard)")
     K = factorial(2 * N)
     f = MonicQuadratic(0, -4 * K)
     nodes = []

@@ -1,12 +1,14 @@
 """Exact symbolic arithmetic: univariate polynomials and rational
 functions over Q, and sparse multivariate polynomials.
 
-UPoly stores a dense coefficient tuple (a_0..a_d) with trailing zeros
-trimmed.  RatFunc keeps a canonical form at all times: coprime numerator
-and denominator with the denominator monic, so equality of values is
-equality of fields.  MPoly maps exponent vectors over a fixed variable
-tuple to nonzero rational coefficients; identity checks reduce to
-structural equality of the maps.
+UPoly stores integer numerators (a_0..a_d), trailing zeros trimmed, over
+one positive denominator coprime to them.  Its arithmetic runs on those
+integers, one integer pseudo-division serves both divmod and gcd, and
+Fractions appear only in `coeffs`, `lead`, evaluation and repr.  RatFunc
+keeps a canonical form at all times: coprime numerator and denominator
+with the denominator monic, so equality of values is equality of fields.
+MPoly maps exponent vectors over a fixed variable tuple to nonzero
+rational coefficients; identity checks reduce to structural equality.
 
 There is deliberately no factorization, no multivariate gcd and no power
 series here.  The one "reduction modulo a relation" ever needed is
@@ -16,60 +18,71 @@ imposing e**2 = 1 on a single variable, done by exponent substitution.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .exact import as_fraction
 
 
-def _strip(v: list[int]) -> list[int]:
-    while v and v[-1] == 0:
-        v.pop()
-    return v
+def _reduced(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """num/den with trailing zeros stripped, gcd(den, *num) = 1 and
+    den > 0; zero is ((), 1)."""
+    while num and num[-1] == 0:
+        num.pop()
+    g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+    if g != 1:
+        num, den = [c // g for c in num], den // g
+    return tuple(num), den
 
 
-def _primitive(v: list[int]) -> list[int]:
-    g = 0
-    for c in v:
-        g = gcd(g, c)
-    return [c // g for c in v] if g > 1 else v
+def _primitive(v) -> list[int]:
+    g = gcd(*v)
+    return [c // g for c in v] if g > 1 else list(v)
 
 
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """prem(a, b) over Z: remainder of lc(b)**k * a by b for suitable k."""
-    a = a[:]
-    db = len(b) - 1
-    lb = b[-1]
-    while _strip(a) and len(a) - 1 >= db:
-        la = a[-1]
-        shift = len(a) - 1 - db
-        a = [c * lb for c in a]
-        for i, bc in enumerate(b):
-            a[shift + i] -= la * bc
-    return a
-
-
-def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive PRS gcd of integer coefficient lists (both nonzero)."""
-    a = _primitive(_strip(a[:]))
-    b = _primitive(_strip(b[:]))
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _primitive(_pseudo_rem(a, b))
-    return a
+def _pseudo_divmod(a, b, quotient: bool = True) -> tuple[list[int], list[int], int]:
+    """(q, r, m) over Z with m*a = q*b + r, deg r < deg b and m != 0, for
+    integer coefficient sequences without trailing zeros (b nonzero).
+    Each step scales by lc(b)/gcd(lead, lc(b)) only, so a divisor with
+    lead +-1 never scales.  A step scales only the deg b coefficients
+    under b; each lower one takes the product m when b reaches it.  q,
+    which can hold far more digits than r, is left empty unless asked."""
+    db, lb = len(b) - 1, b[-1]
+    r, steps, m = list(a), [], 1
+    for k in range(len(a) - 1 - db, -1, -1):
+        r[k] *= m
+        t, s = r.pop(), 1
+        if t:
+            g = gcd(t, lb)
+            s, t = lb // g, t // g
+            m *= s
+            r[k:] = [s * c - t * d for c, d in zip(r[k:], b)]
+        steps.append((t, s))
+    while r and r[-1] == 0:
+        r.pop()
+    q, later = [], 1  # each quotient term takes the scales of later steps
+    for t, s in reversed(steps if quotient else ()):
+        q.append(t * later)
+        later *= s
+    return q, r, m
 
 
 class UPoly:
     """Univariate polynomial over Q, coefficients indexed by degree."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        den = lcm(*(c.denominator for c in cs))
+        self._num, self._den = _reduced(
+            [c.numerator * (den // c.denominator) for c in cs], den)
+
+    @classmethod
+    def _make(cls, num: list[int], den: int = 1) -> "UPoly":
+        p = object.__new__(cls)
+        p._num, p._den = _reduced(num, den)
+        return p
 
     @classmethod
     def zero(cls) -> "UPoly":
@@ -99,48 +112,46 @@ class UPoly:
 
     @property
     def coeffs(self) -> tuple:
-        return self._coeffs
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def lead(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     @property
     def ord0(self) -> int:
         """Order of vanishing at 0."""
         if self.is_zero:
             raise ValueError("zero polynomial vanishes to every order")
-        k = 0
-        while self._coeffs[k] == 0:
-            k += 1
-        return k
+        return next(k for k, c in enumerate(self._num) if c)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, UPoly):
-            return self._coeffs == other._coeffs
+            return self._num == other._num and self._den == other._den
         if isinstance(other, (int, Fraction)):
             return self == UPoly.constant(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._num, self._den))
 
     def __repr__(self) -> str:
         if self.is_zero:
             return "UPoly(0)"
         parts = []
-        for k, c in enumerate(self._coeffs):
+        for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             if k == 0:
@@ -163,18 +174,22 @@ class UPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, b, den = self._num, other._num, self._den
+        if den != other._den:
+            den = lcm(den, other._den)
+            a = [c * (den // self._den) for c in a]
+            b = [c * (den // other._den) for c in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return UPoly(out)
+        return UPoly._make(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "UPoly":
-        return UPoly(tuple(-c for c in self._coeffs))
+        return UPoly._make([-c for c in self._num], self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -191,13 +206,13 @@ class UPoly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return UPoly.zero()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._coeffs):
-                out[i + j] += a * b
-        return UPoly(out)
+        b = other._num
+        out = [0] * (len(self._num) + len(b) - 1)
+        for i, a in enumerate(self._num):
+            if a:
+                for j, c in enumerate(b, i):
+                    out[j] += a * c
+        return UPoly._make(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -219,21 +234,10 @@ class UPoly:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        r = list(self._coeffs)
-        d = other.degree
-        lead = other.lead
-        while len(r) - 1 >= d and any(c != 0 for c in r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < d:
-                break
-            k = len(r) - 1 - d
-            c = r[-1] / lead
-            q[k] = c
-            for i, b in enumerate(other._coeffs):
-                r[k + i] -= c * b
-        return UPoly(q), UPoly(r)
+        # self = A/da and other = B/db with m*A = Q*B + R
+        q, r, m = _pseudo_divmod(self._num, other._num)
+        den = m * self._den
+        return UPoly._make([c * other._den for c in q], den), UPoly._make(r, den)
 
     def __mod__(self, other: "UPoly") -> "UPoly":
         return divmod(self, other)[1]
@@ -242,23 +246,14 @@ class UPoly:
         return divmod(self, other)[0]
 
     def monic(self) -> "UPoly":
-        if self.is_zero:
+        if self.is_zero or self._num[-1] == self._den:
             return self
-        lead = self.lead
-        if lead == 1:
-            return self
-        return UPoly(tuple(c / lead for c in self._coeffs))
-
-    def _int_coeffs(self) -> list[int]:
-        den = 1
-        for c in self._coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        return [int(c * den) for c in self._coeffs]
+        return UPoly._make(list(self._num), self._num[-1])
 
     def gcd(self, other: "UPoly") -> "UPoly":
         """Monic gcd, computed by a primitive pseudo-remainder sequence
-        over the integers (plain rational Euclid explodes on the large
-        products the identity checks produce)."""
+        over the integer numerators (plain rational Euclid explodes on the
+        large products the identity checks produce)."""
         b = self._coerce(other)
         if b is None:
             raise TypeError("gcd expects a polynomial")
@@ -266,23 +261,28 @@ class UPoly:
             return b.monic()
         if b.is_zero:
             return self.monic()
-        g = _int_poly_gcd(self._int_coeffs(), b._int_coeffs())
-        return UPoly(g).monic()
+        a, b = _primitive(self._num), _primitive(b._num)
+        if len(a) < len(b):
+            a, b = b, a
+        while len(b) > 1:
+            a, b = b, _primitive(_pseudo_divmod(a, b, quotient=False)[1])
+        g = b or a  # a nonzero constant remainder means the gcd is 1
+        return UPoly._make(g, g[-1])
 
     def derivative(self, n: int = 1) -> "UPoly":
         if n < 0:
             raise ValueError("negative derivative order")
         p = self
         for _ in range(n):
-            p = UPoly(tuple(k * c for k, c in enumerate(p._coeffs) if k >= 1))
+            p = UPoly._make([k * c for k, c in enumerate(p._num)][1:], p._den)
         return p
 
     def __call__(self, x) -> Fraction:
         x = as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        acc, scale = 0, 1  # Horner's rule for sum a_k p**k q**(d-k), x = p/q
+        for c in reversed(self._num):
+            acc, scale = acc * x.numerator + c * scale, scale * x.denominator
+        return Fraction(acc, self._den * x.denominator ** max(0, self.degree))
 
 
 class RatFunc:

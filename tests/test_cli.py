@@ -99,6 +99,26 @@ class TestSurface:
         assert payload["nodes"] == ["25", "14"]
         assert payload["roots"] == ["23", "10"]
 
+    def test_family_guard(self, capsys):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "surface", "family", "--N", "780")
+        assert code == 1 and out == "" and "(resource guard)" in err
+        assert time.monotonic() - t0 < 1
+
+    def test_check_and_line_linear_in_deltas(self, capsys):
+        deltas = ",".join(str(k) for k in range(1, 2001))
+        on = "1,0," + ",".join(str(k) for k in range(1, 2001))
+        off = "1,0," + ",".join(str(k) for k in range(1, 2000)) + ",2001"
+        t0 = time.monotonic()
+        code, out, _ = run(capsys, "surface", "check", "--deltas", deltas, "--point", on)
+        assert code == 0 and out.strip() == "on surface: yes"
+        code, out, _ = run(capsys, "surface", "check", "--deltas", deltas, "--point", off)
+        assert code == 0 and out.strip() == "on surface: no"
+        payload = run_json(capsys, "surface", "line", "--deltas", deltas, "--point", on,
+                           "--json")
+        assert payload == {"on_trivial_line": True, "signs": [1] * 2001, "nu": "0"}
+        assert time.monotonic() - t0 < 1
+
     def test_rational_deltas(self, capsys):
         payload = run_json(capsys, "surface", "check", "--deltas", "1/2,3/2",
                            "--point", "1,0,1/2,3/2", "--json")
@@ -156,6 +176,35 @@ class TestPadic:
         t0 = time.monotonic()
         code, out, err = run(capsys, "padic", "norm", "--p", "3",
                              "--poly", "(z+2)^1000+1", "--rho", "1")
+        assert code == 1 and out == "" and "(resource guard)" in err
+        assert time.monotonic() - t0 < 1
+
+    def test_poly_coefficient_guard(self, capsys):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "padic", "norm", "--p", "3", "--poly",
+                             "(4611686018427387903*z+4611686018427387903)^200",
+                             "--rho", "1")
+        assert code == 1 and out == "" and "(resource guard)" in err
+        assert time.monotonic() - t0 < 1
+        code, out, _ = run(capsys, "padic", "norm", "--p", "3",
+                           "--poly", "(z+2)^200+1", "--rho", "1")
+        assert code == 0 and out.strip() == "200"
+
+    def test_quotient_gcd_guard(self, capsys):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "padic", "pjf", "--p", "3", "--num", "(z+1)^200+z",
+                             "--den", "(2*z+5)^200+1", "--rhos", "0,1")
+        assert code == 1 and out == "" and "(resource guard)" in err
+        assert time.monotonic() - t0 < 1
+
+    @pytest.mark.parametrize("f_num, f_den, u_num, u_den", [
+        ("(z+1)^8", "(z-2)^8", "(z+3)^8", "(2*z+5)^8"),
+        ("(z+1)^20", "(z-2)^20", "(z+3)^20", "(2*z+5)^20"),
+        ("(z+1)^200", "", "(z+3)^200", "")])
+    def test_delta_guard(self, capsys, f_num, f_den, u_num, u_den):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "padic", "delta", f"--f-num={f_num}", f"--f-den={f_den}",
+                             f"--u-num={u_num}", f"--u-den={u_den}", "--a", "1")
         assert code == 1 and out == "" and "(resource guard)" in err
         assert time.monotonic() - t0 < 1
 

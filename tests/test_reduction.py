@@ -110,6 +110,14 @@ class TestParser:
             parse_poly("(z + 9^4096)^200")
         assert parse_poly("9^4096 * z").coeffs == (0, 9 ** 4096)
 
+    def test_poly_size_budget(self):
+        # degree 200 admits a coefficient-sum bound of 4000 bits, not 4001
+        assert parse_poly("(131071*z+131071)^200").degree == 200
+        for text in ("(524288*z+524288)^200",
+                     "(4611686018427387903*z+4611686018427387903)^200"):
+            with pytest.raises(ValueError, match="resource guard"):
+                parse_poly(text)
+
 
 class TestLowering:
     def test_single_product(self):

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from buchi.exact import is_square_int, is_square_rat
-from buchi.surfaces import (SCAN_HEIGHT_BUDGET, BuchiSurface, EvaluationNodes, MonicQuadratic,
+from buchi.surfaces import (FAMILY_N_BUDGET, SCAN_HEIGHT_BUDGET, BuchiSurface, EvaluationNodes, MonicQuadratic,
                             ProjectivePoint, conic_integrality_identity,
                             contains, counterexample_family, f_of_point,
                             j_of_f, jacobian_rank, scan_exceptional,
@@ -86,6 +86,22 @@ class TestContains:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             contains(BuchiSurface((1, 2)), ProjectivePoint((1, 1, 2)))
+
+    def test_matches_dense_rows(self):
+        # the dense rows of surface_equations, summed in full, are the oracle
+        rng = random.Random(89)
+        for _ in range(300):
+            s = BuchiSurface(rand_distinct_nonzero(rng, rng.randint(1, 6)))
+            nu = rand_fraction(rng)
+            on_line = [1, nu] + [nu + d for d in s.deltas]
+            for coords in (on_line, [rand_fraction(rng) for _ in range(s.n + 1)],
+                           on_line[:-1] + [rand_fraction(rng)]):
+                if not any(coords):
+                    continue
+                p = ProjectivePoint(coords)
+                dense = all(sum(c * x * x for c, x in zip(eq, p.coords)) == 0
+                            for eq in surface_equations(s))
+                assert contains(s, p) == dense
 
 
 class TestTrivialLines:
@@ -326,6 +342,11 @@ class TestCounterexampleFamily:
         f, nodes, roots = counterexample_family(3)
         assert nodes[0] == 1 + 720
         assert f(nodes[0]) == 719 ** 2 == roots[0] ** 2
+
+    def test_budget(self):
+        assert len(counterexample_family(FAMILY_N_BUDGET)[1]) == FAMILY_N_BUDGET
+        with pytest.raises(ValueError, match="resource guard"):
+            counterexample_family(FAMILY_N_BUDGET + 1)
 
     def test_growing_families(self):
         for n in range(1, 7):

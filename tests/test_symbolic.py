@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,196 @@ from helpers import rand_fraction, rand_ratfunc, rand_upoly
 
 coeff_lists = st.lists(st.integers(-9, 9), max_size=4)
 nonzero_coeff_lists = coeff_lists.filter(lambda cs: any(cs))
+
+
+# The Fraction-backed core that UPoly ran on before it stored integers
+# over one denominator, kept as the oracle of the differential tests.
+# Polynomials are tuples of Fractions with trailing zeros trimmed.
+
+def frac_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def frac_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return frac_trim(out)
+
+
+def frac_divmod(a, b):
+    """Long division over Fraction coefficients."""
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    r = list(a)
+    while len(r) >= len(b):
+        c = r[-1] / b[-1]
+        k = len(r) - len(b)
+        q[k] = c
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+        r = list(frac_trim(r))
+    return frac_trim(q), tuple(r)
+
+
+def _int_coeffs(cs):
+    den = 1
+    for c in cs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return [int(c * den) for c in cs]
+
+
+def _primitive(v):
+    g = 0
+    for c in v:
+        g = math.gcd(g, c)
+    return [c // g for c in v] if g > 1 else v
+
+
+def _strip(v):
+    while v and v[-1] == 0:
+        v.pop()
+    return v
+
+
+def _pseudo_rem(a, b):
+    """prem(a, b) over Z: remainder of lc(b)**k * a by b."""
+    a = a[:]
+    db = len(b) - 1
+    lb = b[-1]
+    while _strip(a) and len(a) - 1 >= db:
+        la = a[-1]
+        shift = len(a) - 1 - db
+        a = [c * lb for c in a]
+        for i, bc in enumerate(b):
+            a[shift + i] -= la * bc
+    return a
+
+
+def prs_gcd(a, b):
+    """Monic gcd by the primitive pseudo-remainder sequence over Z."""
+    if not a or not b:
+        g = a or b
+        return tuple(c / g[-1] for c in g)
+    a, b = _primitive(_int_coeffs(a)), _primitive(_int_coeffs(b))
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_pseudo_rem(a, b))
+    return tuple(Fraction(c, a[-1]) for c in a)
+
+
+def frac_repr(cs):
+    parts = []
+    for k, c in enumerate(cs):
+        if c != 0:
+            mono = "" if k == 0 else ("*z" if k == 1 else f"*z^{k}")
+            parts.append(f"{c}{mono}" if c != 1 or k == 0 else mono[1:])
+    return "UPoly(" + (" + ".join(parts) or "0") + ")"
+
+
+def frac_ratfunc(num, den):
+    """(num, den) of the canonical form: coprime, den monic."""
+    if not num:
+        return (), (Fraction(1),)
+    g = prs_gcd(num, den)
+    num, den = frac_divmod(num, g)[0], frac_divmod(den, g)[0]
+    return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
+
+
+def rand_rational_coeffs(rng, max_deg, max_num, max_den):
+    """0 to max_deg + 1 coefficients, so that zero and constant
+    polynomials occur; some are zero, and denominators take either sign."""
+    cs = []
+    for _ in range(rng.randint(-1, max_deg) + 1):
+        if rng.random() < 0.2:
+            cs.append(Fraction(0))
+        else:
+            cs.append(Fraction(rng.randint(-max_num, max_num),
+                               rng.choice((-1, 1)) * rng.randint(1, max_den)))
+    return cs
+
+
+def rand_pair_with_common_factor(rng, max_num, max_den):
+    common = rand_rational_coeffs(rng, 3, max_num, max_den)
+    return (frac_mul(frac_trim(common), frac_trim(rand_rational_coeffs(rng, 4, max_num, max_den))),
+            frac_mul(frac_trim(common), frac_trim(rand_rational_coeffs(rng, 4, max_num, max_den))))
+
+
+SIZES = ((9, 5), (10 ** 12, 10 ** 6))
+
+
+def same(p, cs):
+    """p has the value cs and the one normal form UPoly(cs) has."""
+    q = UPoly(cs)
+    return p.coeffs == frac_trim(cs) and p == q and hash(p) == hash(q)
+
+
+class TestAgainstFractionCore:
+    def test_ring_operations(self):
+        rng = random.Random(71)
+        for max_num, max_den in SIZES:
+            for _ in range(400):
+                a = frac_trim(rand_rational_coeffs(rng, 6, max_num, max_den))
+                b = frac_trim(rand_rational_coeffs(rng, 6, max_num, max_den))
+                pa, pb = UPoly(a), UPoly(b)
+                assert pa.coeffs == a and repr(pa) == frac_repr(a)
+                pad = [Fraction(0)] * max(len(a), len(b))
+                assert same(pa + pb, [x + y for x, y in zip(a + tuple(pad), b + tuple(pad))])
+                assert same(pa - pb, [x - y for x, y in zip(a + tuple(pad), b + tuple(pad))])
+                assert same(-pa, [-c for c in a])
+                assert same(pa * pb, frac_mul(a, b))
+                assert same(pa ** 3, frac_mul(frac_mul(a, a), a))
+                assert same(pa.derivative(), [k * c for k, c in enumerate(a)][1:])
+                x = Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+                assert pa(x) == sum(c * x ** k for k, c in enumerate(a))
+                if a:
+                    assert pa.lead == a[-1]
+                    assert same(pa.monic(), [c / a[-1] for c in a])
+
+    def test_divmod_by_nonmonic_divisors(self):
+        rng = random.Random(73)
+        for max_num, max_den in SIZES:
+            for _ in range(400):
+                a = frac_trim(rand_rational_coeffs(rng, 8, max_num, max_den))
+                b = frac_trim(rand_rational_coeffs(rng, 4, max_num, max_den))
+                if not b:
+                    continue
+                q, r = divmod(UPoly(a), UPoly(b))
+                oq, orem = frac_divmod(a, b)
+                assert same(q, oq) and same(r, orem)
+
+    def test_gcd(self):
+        rng = random.Random(79)
+        for max_num, max_den in SIZES:
+            for _ in range(300):
+                if rng.random() < 0.5:
+                    a, b = rand_pair_with_common_factor(rng, max_num, max_den)
+                else:
+                    a = frac_trim(rand_rational_coeffs(rng, 6, max_num, max_den))
+                    b = frac_trim(rand_rational_coeffs(rng, 6, max_num, max_den))
+                if a or b:
+                    assert same(UPoly(a).gcd(UPoly(b)), prs_gcd(a, b))
+
+    def test_ratfunc_canonical_form_and_repr(self):
+        rng = random.Random(83)
+        for max_num, max_den in SIZES:
+            for _ in range(300):
+                num, den = rand_pair_with_common_factor(rng, max_num, max_den)
+                if not den:
+                    continue
+                f = RatFunc(UPoly(num), UPoly(den))
+                cnum, cden = frac_ratfunc(num, den)
+                assert same(f.num, cnum) and same(f.den, cden)
+                expected = frac_repr(cnum)
+                if cden != (1,):
+                    expected += " / " + frac_repr(cden)
+                assert repr(f) == f"RatFunc({expected})"
 
 
 class TestUPoly:
