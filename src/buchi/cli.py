@@ -29,7 +29,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _emit(args, payload: dict, human: str) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload))
     else:
         print(human)
@@ -46,13 +46,8 @@ def _cmd_seq_search(args) -> int:
     results = sequences.search(args.length, args.bound)
     values = [list(seq.values) for seq in results]
     payload = {"length": args.length, "bound": args.bound, "nontrivial": values}
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        if not values:
-            print("no nontrivial sequences")
-        for vs in values:
-            print(",".join(str(v) for v in vs))
+    human = "\n".join(",".join(str(v) for v in vs) for vs in values)
+    _emit(args, payload, human or "no nontrivial sequences")
     return 0
 
 
@@ -112,12 +107,9 @@ def _cmd_surface_scan(args) -> int:
         "candidates": [{"u": str(f.u), "v": str(f.v)} for f in found],
         "growth": {"height": args.height, "count": len(found)},
     }
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(f"{len(found)} candidate(s) up to height {args.height}")
-        for f in found:
-            print(f"u={f.u} v={f.v}")
+    human = "\n".join([f"{len(found)} candidate(s) up to height {args.height}"]
+                      + [f"u={f.u} v={f.v}" for f in found])
+    _emit(args, payload, human)
     return 0
 
 
@@ -258,10 +250,7 @@ def _cmd_check(args) -> int:
 def _cmd_formulas(args) -> int:
     deltas = _rat_list(args.deltas) if args.deltas else None
     text = reduction.print_formulas(args.mode, m=args.m, deltas=deltas)
-    if args.json:
-        print(json.dumps({"mode": args.mode, "m": args.m, "text": text}))
-    else:
-        print(text)
+    _emit(args, {"mode": args.mode, "m": args.m, "text": text}, text)
     return 0
 
 

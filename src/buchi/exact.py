@@ -98,8 +98,8 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 def as_fraction(x) -> Fraction:
     """Coerce ints, Fractions and strings of the form [-]digits[/digits].
-    Other strings, decimal and exponent notation included, raise
-    ValueError; floats and other types raise TypeError."""
+    Other strings, decimal and exponent notation included, and a zero
+    denominator raise ValueError; floats and other types raise TypeError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -108,6 +108,8 @@ def as_fraction(x) -> Fraction:
         if _RATIONAL.fullmatch(x) is None:
             raise ValueError(f"{x!r} is not an exact rational: write num/den, "
                              "not float notation")
+        if int(x.partition("/")[2] or 1) == 0:
+            raise ValueError(f"{x!r} has a zero denominator")
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 

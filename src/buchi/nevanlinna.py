@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .exact import as_fraction, valuation
 from .symbolic import RatFunc, UPoly
@@ -141,8 +142,8 @@ QUOTIENT_GCD_BUDGET = 150_000
 
 
 def quotient(num: UPoly, den: UPoly) -> RatFunc:
-    """num/den in canonical form; refused (resource guard) before its gcd
-    when min(deg) * max(deg) * bits exceeds QUOTIENT_GCD_BUDGET."""
+    """num/den, refused (resource guard) before its canonicalizing gcd,
+    run on first read, when min(deg)*max(deg)*bits > QUOTIENT_GCD_BUDGET."""
     cost = min(num.degree, den.degree) * max(num.degree, den.degree) * _bits(num, den)
     if cost > QUOTIENT_GCD_BUDGET:
         raise ValueError(f"quotient gcd size {cost} > {QUOTIENT_GCD_BUDGET} refused "
@@ -237,8 +238,8 @@ def check_pjf(f, p: int, rhos) -> Fraction:
     return constants[0]
 
 
-# Largest accepted n * max(1, deg den): the final gcd of f^(n) grows fast
-# in both, and at this budget one check takes well under a second.
+# Largest accepted n * max(1, deg den): the gcd that reduces f^(n)/f grows
+# fast in both, and at this budget one check takes well under a second.
 LDL_BUDGET = 40
 
 
@@ -374,16 +375,15 @@ def check_smt(f, targets, p: int, rhos) -> SmtReport:
                      eventual_slope=v2 - v1)
 
 
-# Budgets of delta_identity (resource guards), in terms of E = deg f.den
-# + deg u.den, the bound 2G on the degree of g's numerator and the bits B
-# of the input's largest coefficient.  Polynomial f and u (E = 0) cost
-# products only: on random dense inputs (G + E)*B up to 6000 took at most
-# 0.55 s, 6000-13,000 up to 1.3 s, and (z+1)**200 with (z+3)**200
-# (79,400) 3.6 s.  Each unit of E adds gcds of growing size: E*(G + E)*B
-# from 300 to 600 took at most 0.42 s, 600-1000 up to 1.1 s, and about
-# 1500 from 1 to 4 s (2-vCPU VM, CPython 3.11).
-DELTA_SIZE_BUDGET = 6_000
-DELTA_GCD_BUDGET = 600
+# Budget of delta_identity (resource guard) on its cost (G + 4E)**2 *
+# (B + 10)**1.5, with E = deg f.den + deg u.den, 2G the degree bound of
+# g's numerator and B the input's largest coefficient in bits: the check
+# only multiplies, and E raises the degree of its products about four
+# times as fast as G.  On 380 random dense inputs (2-vCPU VM, CPython 3.11)
+# a cost up to 2*10**7 took at most 1.1 s.  (z+1)**d/(z-2)**d with
+# (z+3)**d/(2*z+5)**d costs 1.9*10**7 at d = 20 (0.33 s) and 7.2*10**7 at
+# d = 30 (1.3 s); (z+1)**200 with (z+3)**200 costs 3.3*10**8 (1.3 s).
+DELTA_SIZE_BUDGET = 20_000_000
 
 
 def delta_identity(f, u, a) -> bool:
@@ -392,19 +392,19 @@ def delta_identity(f, u, a) -> bool:
 
         g'**2 - 4*f'**2*g = 4*u*(u*f'**2 - u'**2*u - u'*g')
 
-    which holds identically for every rational f, u and constant a.
-    Refuses inputs beyond DELTA_SIZE_BUDGET or DELTA_GCD_BUDGET."""
+    which holds identically for every rational f, u and constant a, by
+    products alone.  Refuses inputs beyond DELTA_SIZE_BUDGET."""
     f = _as_ratfunc(f)
     u = _as_ratfunc(u)
     a = as_fraction(a)
     e = f.den.degree + u.den.degree
     half_deg_g = max(max(f.num.degree, f.den.degree) + u.den.degree,
                      u.num.degree + f.den.degree)
-    size = (half_deg_g + e) * _bits(f.num, f.den, u.num, u.den)
-    if size > DELTA_SIZE_BUDGET or e * size > DELTA_GCD_BUDGET:
-        raise ValueError(f"delta input of size {size} and denominator degree {e} "
-                         f"refused (resource guard): the budgets are size <= "
-                         f"{DELTA_SIZE_BUDGET} and degree * size <= {DELTA_GCD_BUDGET}")
+    bits = _bits(f.num, f.den, u.num, u.den)
+    cost = (half_deg_g + 4 * e) ** 2 * isqrt((bits + 10) ** 3)
+    if cost > DELTA_SIZE_BUDGET:
+        raise ValueError(f"delta input of cost {cost} > {DELTA_SIZE_BUDGET} refused "
+                         "(resource guard)")
     g = (f + a) ** 2 - u ** 2
     fp = f.derivative()
     up = u.derivative()

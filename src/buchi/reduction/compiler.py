@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .. import sequences
+from .formulas import check_m
 from .lower import LinearEq, eliminate_mul, lower_tac, run_trace
 from .parser import SourceSystem, evaluate
 
@@ -144,8 +145,7 @@ def compile_system(system: SourceSystem, m: int = 5) -> TargetSystem:
     Deterministic: variable names come from monotone counters in traversal
     order, so compiling the same source twice is byte-identical.
     """
-    if m < 3:
-        raise ValueError("gadget length must be >= 3")
+    check_m(m)
     inter = eliminate_mul(lower_tac(system))
     variables = list(inter.variables)
     linear = list(inter.linear)

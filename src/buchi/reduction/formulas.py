@@ -14,6 +14,20 @@ from __future__ import annotations
 from ..exact import as_fraction
 
 DEFAULT_M = 35
+# Largest M accepted by compile, check and formulas (resource guard).
+# Their output grows linearly in M (2-vCPU VM, CPython 3.11): at M = 1000
+# mode F prints 47 kB and compile of x = (a+b+c+d)**4096 1 MB, each in
+# under 0.1 s, and at M = 10**5 that compile printed 117 MB and peaked at
+# 1.4 GB.  check also refuses gadget witnesses above W_BOUND_BUDGET.
+MAX_M = 1000
+
+
+def check_m(m: int) -> None:
+    """Refuse M below 3, and above MAX_M (resource guard)."""
+    if m < 3:
+        raise ValueError("M must be >= 3")
+    if m > MAX_M:
+        raise ValueError(f"M = {m} > {MAX_M} refused (resource guard)")
 
 
 def _formula_f(m: int) -> str:
@@ -79,8 +93,8 @@ def print_formulas(mode: str, m: int = DEFAULT_M, deltas=None) -> str:
     m is the quantifier count of the underlying square-defining block
     (>= 3); Psi instead takes the surface offsets d_2..d_n.
     """
-    if mode in ("F", "G", "H") and m < 3:
-        raise ValueError("M must be >= 3")
+    if mode in ("F", "G", "H"):
+        check_m(m)
     if mode == "F":
         return _formula_f(m)
     if mode == "G":

@@ -36,6 +36,13 @@ MAX_CONSTANT_BITS = 14_000
 # 2 s.  A polynomial of degree 1 may still take MAX_CONSTANT_BITS bits.
 MAX_POLY_DEGREE = 200
 MAX_POLY_SIZE = 160_000_000
+# Deepest expression accepted, in nested Python calls (resource guard);
+# CPython allows about 1000.  Parsing nests four calls for each '(' and one
+# for each sign, and folding, evaluation and lowering one call for each
+# operator level of the syntax tree.  A flat sum or product of n terms is
+# n - 1 levels deep, so 200 nested parentheses, a dense polynomial of
+# degree MAX_POLY_DEGREE and a sum of 800 terms all fit.
+MAX_DEPTH = 800
 
 
 class ParseError(ValueError):
@@ -195,38 +202,57 @@ class _Parser:
         return SourceSystem(tuple(equations), tuple(sorted(names)))
 
     def parse_equation(self) -> Equation:
-        lhs = self.parse_expr()
+        lhs = self.parse_shallow()
         tok = self.eat("EQUALS")
-        rhs = self.parse_expr()
+        rhs = self.parse_shallow()
         return Equation(Sub(lhs, rhs, (tok.line, tok.col)))
 
-    def parse_expr(self):
-        node = self.parse_term()
+    def parse_shallow(self):
+        """parse_expr, refused (resource guard) when the tree it returns
+        is more than MAX_DEPTH operator levels deep."""
+        tok = self.current
+        node = self.parse_expr()
+        depth, level = 0, [node]
+        while level := [c for n in level for c in _children(n)]:
+            depth += 1
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression {depth} operator levels deep > {MAX_DEPTH} "
+                             "refused (resource guard)", tok.line, tok.col)
+        return node
+
+    def parse_expr(self, nesting: int = 0):
+        node = self.parse_term(nesting)
         while self.current.kind in ("PLUS", "MINUS"):
             tok = self.current
             self.pos += 1
-            rhs = self.parse_term()
+            rhs = self.parse_term(nesting)
             cls = Add if tok.kind == "PLUS" else Sub
             node = cls(node, rhs, (tok.line, tok.col))
         return node
 
-    def parse_term(self):
-        node = self.parse_factor()
+    def parse_term(self, nesting: int):
+        node = self.parse_factor(nesting)
         while self.current.kind == "STAR":
             tok = self.current
             self.pos += 1
-            node = Mul(node, self.parse_factor(), (tok.line, tok.col))
+            node = Mul(node, self.parse_factor(nesting), (tok.line, tok.col))
         return node
 
-    def parse_factor(self):
+    def parse_factor(self, nesting: int):
+        """A factor `nesting` parser calls inside open parentheses and
+        signs, refused (resource guard) beyond MAX_DEPTH of them."""
         tok = self.current
+        if nesting > MAX_DEPTH:
+            raise ParseError(f"parentheses and signs nested more than {MAX_DEPTH} "
+                             "parser calls deep (4 for each '(') refused "
+                             "(resource guard)", tok.line, tok.col)
         if tok.kind == "MINUS":
             self.pos += 1
-            return Neg(self.parse_factor(), (tok.line, tok.col))
+            return Neg(self.parse_factor(nesting + 1), (tok.line, tok.col))
         if tok.kind == "PLUS":
             self.pos += 1
-            return self.parse_factor()
-        node = self.parse_atom()
+            return self.parse_factor(nesting + 1)
+        node = self.parse_atom(nesting)
         if self.current.kind == "CARET":
             caret = self.current
             self.pos += 1
@@ -238,7 +264,7 @@ class _Parser:
             node = Pow(node, exponent, (caret.line, caret.col))
         return node
 
-    def parse_atom(self):
+    def parse_atom(self, nesting: int):
         tok = self.current
         if tok.kind == "INT":
             self.pos += 1
@@ -248,7 +274,7 @@ class _Parser:
             return Var(tok.text, (tok.line, tok.col))
         if tok.kind == "LPAREN":
             self.pos += 1
-            node = self.parse_expr()
+            node = self.parse_expr(nesting + 4)
             self.eat("RPAREN")
             return node
         raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}",
@@ -263,16 +289,23 @@ def parse(text: str) -> SourceSystem:
     return _Parser(tokens).parse_system()
 
 
+def _children(node) -> tuple:
+    if isinstance(node, (Add, Sub, Mul)):
+        return node.left, node.right
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, Pow):
+        return (node.base,)
+    return ()
+
+
 def collect_variables(expr, out: set[str]) -> None:
-    if isinstance(expr, Var):
-        out.add(expr.name)
-    elif isinstance(expr, (Add, Sub, Mul)):
-        collect_variables(expr.left, out)
-        collect_variables(expr.right, out)
-    elif isinstance(expr, Neg):
-        collect_variables(expr.operand, out)
-    elif isinstance(expr, Pow):
-        collect_variables(expr.base, out)
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            out.add(node.name)
+        stack.extend(_children(node))
 
 
 def bounded(value: int) -> int:
@@ -375,7 +408,7 @@ def parse_poly(text: str, var: str = "z") -> UPoly:
     if tokens[0].kind == "EOF":
         raise ParseError("empty polynomial", tokens[0].line, tokens[0].col)
     parser = _Parser(tokens)
-    expr = parser.parse_expr()
+    expr = parser.parse_shallow()
     parser.eat("EOF")
     names: set[str] = set()
     collect_variables(expr, names)

@@ -5,8 +5,8 @@ UPoly stores integer numerators (a_0..a_d), trailing zeros trimmed, over
 one positive denominator coprime to them.  Its arithmetic runs on those
 integers, one integer pseudo-division serves both divmod and gcd, and
 Fractions appear only in `coeffs`, `lead`, evaluation and repr.  RatFunc
-keeps a canonical form at all times: coprime numerator and denominator
-with the denominator monic, so equality of values is equality of fields.
+arithmetic and == multiply and run no gcd; the canonical form (coprime,
+den monic) is reduced once, the first time it is read.
 MPoly maps exponent vectors over a fixed variable tuple to nonzero
 rational coefficients; identity checks reduce to structural equality.
 
@@ -286,30 +286,28 @@ class UPoly:
 
 
 class RatFunc:
-    """Rational function over Q in canonical form: gcd(num, den) = 1 and
-    den monic."""
+    """Rational function over Q.  Arithmetic, derivative and == multiply
+    the stored parts and run no gcd; the canonical form (coprime, den
+    monic) is reduced once, when num, den, the hash or the repr reads it."""
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_canonical")
 
     def __init__(self, num, den=1):
-        num = self._as_poly(num)
-        den = self._as_poly(den)
-        if den.is_zero:
+        self._num, self._den = self._as_poly(num), self._as_poly(den)
+        if self._den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            self._num = UPoly.zero()
-            self._den = UPoly.constant(1)
-            return
-        g = num.gcd(den)
-        if g.degree >= 1:
-            num = num // g
-            den = den // g
-        lead = den.lead
-        if lead != 1:
-            num = num * (1 / lead)
-            den = den * (1 / lead)
-        self._num = num
-        self._den = den
+        self._canonical = False
+
+    def _parts(self) -> tuple[UPoly, UPoly]:
+        """The canonical (num, den), reduced on the first call and kept."""
+        if not self._canonical:
+            num, den = self._num, self._den
+            g = num.gcd(den)  # den itself, made monic, when num is zero
+            if g.degree >= 1:
+                num, den = num // g, den // g
+            self._num, self._den = num * (1 / den.lead), den.monic()
+            self._canonical = True
+        return self._num, self._den
 
     @staticmethod
     def _as_poly(v) -> UPoly:
@@ -329,11 +327,11 @@ class RatFunc:
 
     @property
     def num(self) -> UPoly:
-        return self._num
+        return self._parts()[0]
 
     @property
     def den(self) -> UPoly:
-        return self._den
+        return self._parts()[1]
 
     @property
     def is_zero(self) -> bool:
@@ -341,22 +339,21 @@ class RatFunc:
 
     @property
     def is_constant(self) -> bool:
-        return self._num.degree <= 0 and self._den.degree == 0
+        return self.num.degree <= 0 and self.den.degree == 0
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, UPoly)):
-            other = RatFunc(other)
-        if not isinstance(other, RatFunc):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        return self._num == other._num and self._den == other._den
+        return self._num * other._den == other._num * self._den
 
     def __hash__(self) -> int:
-        return hash((self._num, self._den))
+        return hash(self._parts())
 
     def __repr__(self) -> str:
-        if self._den == UPoly.constant(1):
-            return f"RatFunc({self._num!r})"
-        return f"RatFunc({self._num!r} / {self._den!r})"
+        if self.den == UPoly.constant(1):
+            return f"RatFunc({self.num!r})"
+        return f"RatFunc({self.num!r} / {self.den!r})"
 
     @staticmethod
     def _coerce(other) -> "RatFunc | None":
@@ -416,8 +413,8 @@ class RatFunc:
 
     def derivative(self, n: int = 1) -> "RatFunc":
         """Exact n-th derivative.  For f = N/D, f^(k) = N_k / D^(k+1) with
-        N_0 = N and N_(k+1) = N_k' D - (k+1) N_k D'; only the result is
-        brought to canonical form."""
+        N_0 = N and N_(k+1) = N_k' D - (k+1) N_k D', over the stored N and
+        D; no gcd runs."""
         if n < 1:
             raise ValueError("derivative order must be >= 1")
         num, den = self._num, self._den

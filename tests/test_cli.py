@@ -5,6 +5,9 @@ import time
 import pytest
 
 from buchi.cli import main
+from buchi.reduction.formulas import MAX_M
+from buchi.reduction.parser import MAX_DEPTH, MAX_POLY_DEGREE
+from helpers import DEEP_SHAPES, dense_poly
 
 
 def run(capsys, *argv):
@@ -198,8 +201,7 @@ class TestPadic:
         assert time.monotonic() - t0 < 1
 
     @pytest.mark.parametrize("f_num, f_den, u_num, u_den", [
-        ("(z+1)^8", "(z-2)^8", "(z+3)^8", "(2*z+5)^8"),
-        ("(z+1)^20", "(z-2)^20", "(z+3)^20", "(2*z+5)^20"),
+        ("(z+1)^40", "(z-2)^40", "(z+3)^40", "(2*z+5)^40"),
         ("(z+1)^200", "", "(z+3)^200", "")])
     def test_delta_guard(self, capsys, f_num, f_den, u_num, u_den):
         t0 = time.monotonic()
@@ -207,6 +209,17 @@ class TestPadic:
                              f"--u-num={u_num}", f"--u-den={u_den}", "--a", "1")
         assert code == 1 and out == "" and "(resource guard)" in err
         assert time.monotonic() - t0 < 1
+
+    @pytest.mark.parametrize("d", [8, 20])
+    def test_delta_binomial_family(self, capsys, d):
+        # the check only multiplies, so these pass the budget; d = 8 is fast
+        t0 = time.monotonic()
+        code, out, _ = run(capsys, "padic", "delta", f"--f-num=(z+1)^{d}",
+                           f"--f-den=(z-2)^{d}", f"--u-num=(z+3)^{d}",
+                           f"--u-den=(2*z+5)^{d}", "--a", "1")
+        assert code == 0 and out == "delta identity: true\n"
+        if d == 8:
+            assert time.monotonic() - t0 < 1
 
     def test_fmt(self, capsys):
         payload = run_json(capsys, "padic", "fmt", "--p", "2", "--num", "z-1",
@@ -307,6 +320,19 @@ class TestCompileCheck:
                            "--box", "10", "--json")
         assert payload["passed"] is True and payload["source_solutions"] == 0
 
+    @pytest.mark.parametrize("command", ["compile", "check"])
+    def test_m_budget(self, capsys, tmp_path, command):
+        src = tmp_path / "sys.dioph"
+        src.write_text("x = y^2\n")
+        box = ["--box", "1"] if command == "check" else []
+        code, out, _ = run(capsys, command, "--in", str(src), "--m", str(MAX_M), *box)
+        assert code == 0 and out
+        for m in (MAX_M + 1, 10 ** 7):
+            t0 = time.monotonic()
+            code, out, err = run(capsys, command, "--in", str(src), "--m", str(m), *box)
+            assert code == 1 and out == "" and "(resource guard)" in err
+            assert time.monotonic() - t0 < 1
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         src = tmp_path / "sys.dioph"
         src.write_text("x + = 3\n")
@@ -314,10 +340,53 @@ class TestCompileCheck:
         assert code == 1 and "column 5" in err
 
 
+class TestDepthGuard:
+    @pytest.mark.parametrize("command", ["padic", "compile", "check"])
+    @pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+    def test_inside_and_past_the_limit(self, capsys, tmp_path, shape, command):
+        src = tmp_path / "deep.dioph"
+        cost, deep = DEEP_SHAPES[shape]
+        for depth, refused in ((MAX_DEPTH // cost, False), (MAX_DEPTH // cost + 1, True)):
+            expr = deep(depth)
+            src.write_text(f"x = {expr}\n")
+            argv = {"padic": ["padic", "norm", "--p", "3", f"--poly={expr}", "--rho", "1"],
+                    "compile": ["compile", "--in", str(src)],
+                    "check": ["check", "--in", str(src), "--box", "1"]}[command]
+            t0 = time.monotonic()
+            code, out, err = run(capsys, *argv)
+            assert time.monotonic() - t0 < 1
+            if refused:
+                assert code == 1 and out == "" and "(resource guard)" in err
+            else:
+                assert code == 0 and out, err
+
+    def test_dense_poly_and_long_sum(self, capsys, tmp_path):
+        # a dense polynomial of the top degree and a sum of 300 terms are
+        # far inside the depth budget
+        code, out, err = run(capsys, "padic", "norm", "--p", "3",
+                             f"--poly={dense_poly(MAX_POLY_DEGREE)}", "--rho", "1")
+        assert code == 0 and out, err
+        src = tmp_path / "sum.dioph"
+        src.write_text("x = " + "+".join(f"{k + 2}*y^{k % 4}" for k in range(300)) + "\n")
+        for argv in (["compile", "--in", str(src)],
+                     ["check", "--in", str(src), "--box", "1"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and out, err
+
+
 class TestFormulasCommand:
     def test_formulas_text(self, capsys):
         code, out, _ = run(capsys, "formulas", "--mode", "F", "--m", "35")
         assert code == 0 and out.count("∃") == 35
+
+    def test_m_budget(self, capsys):
+        code, out, _ = run(capsys, "formulas", "--mode", "F", "--m", str(MAX_M))
+        assert code == 0 and out.count("∃") == MAX_M
+        for mode in ("F", "G", "H"):
+            t0 = time.monotonic()
+            code, out, err = run(capsys, "formulas", "--mode", mode, "--m", "1000000")
+            assert code == 1 and out == "" and "(resource guard)" in err
+            assert time.monotonic() - t0 < 1
 
     def test_formulas_psi(self, capsys):
         code, out, _ = run(capsys, "formulas", "--mode", "Psi",

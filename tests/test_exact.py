@@ -129,3 +129,9 @@ class TestAsFraction:
                 as_fraction(text)
         with pytest.raises(TypeError):
             as_fraction(0.5)
+
+    def test_zero_denominator_named(self):
+        for text in ("1/0", "-3/000"):
+            with pytest.raises(ValueError, match="zero denominator"):
+                as_fraction(text)
+        assert as_fraction("0/7") == 0

@@ -9,7 +9,7 @@ from buchi.nevanlinna import (INF, LDL_BUDGET, NewtonSegment, check_fmt,
                               delta_identity, difference_identity,
                               gauss_log_norm, height_N, newton_polygon, prox_m)
 from buchi.symbolic import RatFunc, UPoly
-from helpers import rand_fraction, rand_ratfunc, rand_upoly
+from helpers import count_gcd_calls, rand_fraction, rand_ratfunc, rand_upoly
 
 Z = RatFunc.x()
 
@@ -394,6 +394,20 @@ class TestDeltaIdentity:
             a = rand_fraction(rng, 6, 3)
             assert delta_identity(f, u, a)
 
+    def test_gcds_only_for_the_inputs(self, monkeypatch):
+        calls = count_gcd_calls(monkeypatch)
+        rng = random.Random(63)
+        for _ in range(20):
+            common = rand_upoly(rng, 2, nonzero=True)
+            f = RatFunc(common * rand_upoly(rng, 3, nonzero=True),
+                        common * rand_upoly(rng, 3, nonzero=True))
+            u = RatFunc(common * rand_upoly(rng, 3, nonzero=True),
+                        common * rand_upoly(rng, 3, nonzero=True))
+            del calls[:]
+            assert delta_identity(f, u, rand_fraction(rng, 6, 3))
+            assert len(calls) == 2  # one canonical form per input
+            assert delta_identity(f, u, 1) and len(calls) == 2
+
 
 class TestDifferenceIdentity:
     def test_explicit(self):
@@ -418,6 +432,11 @@ class TestDifferenceIdentity:
             hi = (ai + f) ** 2 - g
             hj = (aj + f) ** 2 - g
             assert difference_identity(f, ai, aj, hi, hj)
+            # any nonzero change to one square breaks the relation
+            eps = rand_ratfunc(rng, 2, nonzero=True)
+            assert not difference_identity(f, ai, aj, hi + eps, hj)
+            if not hj.is_zero:
+                assert not difference_identity(f, ai, aj, hi, hj * (1 + Z))
 
 
 class TestContexts:

@@ -10,8 +10,9 @@ from buchi.reduction import (ParseError, TACProgram, bounded_equisat,
                              evaluate, expand, lower_tac, parse, parse_poly,
                              print_formulas, run_trace, translate_witness,
                              validate_target)
-from buchi.reduction.parser import MAX_POLY_DEGREE
+from buchi.reduction.parser import MAX_DEPTH, MAX_POLY_DEGREE
 from buchi.symbolic import UPoly
+from helpers import DEEP_SHAPES, dense_poly
 
 
 class TestParser:
@@ -117,6 +118,25 @@ class TestParser:
                      "(4611686018427387903*z+4611686018427387903)^200"):
             with pytest.raises(ValueError, match="resource guard"):
                 parse_poly(text)
+
+    def test_depth_budget(self):
+        # each shape parses at the most levels MAX_DEPTH allows, and one
+        # more is a ParseError, never a RecursionError
+        for cost, deep in DEEP_SHAPES.values():
+            n = MAX_DEPTH // cost
+            assert parse_poly(deep(n)).degree == 1
+            assert parse(f"x = {deep(n)}").variables == ("x", "z")
+            for parser, text in ((parse_poly, deep(n + 1)),
+                                 (parse, f"x = {deep(n + 1)}"),
+                                 (parse_poly, deep(5 * n))):
+                with pytest.raises(ParseError, match="resource guard"):
+                    parser(text)
+
+    def test_dense_poly_at_degree_limit(self):
+        # written term by term, a polynomial of degree MAX_POLY_DEGREE is
+        # MAX_POLY_DEGREE + 2 operator levels deep and fits the depth budget
+        poly = parse_poly(dense_poly(MAX_POLY_DEGREE))
+        assert poly.coeffs == (*range(2, MAX_POLY_DEGREE + 2), -MAX_POLY_DEGREE - 2)
 
 
 class TestLowering:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from buchi.symbolic import MPoly, RatFunc, UPoly
-from helpers import rand_fraction, rand_ratfunc, rand_upoly
+from helpers import count_gcd_calls, rand_fraction, rand_ratfunc, rand_upoly
 
 coeff_lists = st.lists(st.integers(-9, 9), max_size=4)
 nonzero_coeff_lists = coeff_lists.filter(lambda cs: any(cs))
@@ -200,6 +200,105 @@ class TestAgainstFractionCore:
                 if cden != (1,):
                     expected += " / " + frac_repr(cden)
                 assert repr(f) == f"RatFunc({expected})"
+
+
+def frac_add(a, b):
+    pad = max(len(a), len(b))
+    return frac_trim(x + y for x, y in zip(a + (Fraction(0),) * (pad - len(a)),
+                                           b + (Fraction(0),) * (pad - len(b))))
+
+
+def frac_derivative(a):
+    return tuple(k * c for k, c in enumerate(a))[1:]
+
+
+def frac_pow(a, n):
+    out = (Fraction(1),)
+    for _ in range(n):
+        out = frac_mul(out, a)
+    return out
+
+
+def oracle_step(op, x, y, n):
+    """One operation on canonical (num, den) pairs of Fraction tuples,
+    brought back to canonical form at once."""
+    (xn, xd), (yn, yd) = x, y
+    neg = tuple(-c for c in yn)
+    parts = {"+": (frac_add(frac_mul(xn, yd), frac_mul(yn, xd)), frac_mul(xd, yd)),
+             "-": (frac_add(frac_mul(xn, yd), frac_mul(neg, xd)), frac_mul(xd, yd)),
+             "*": (frac_mul(xn, yn), frac_mul(xd, yd)),
+             "/": (frac_mul(xn, yd), frac_mul(xd, yn)),
+             "**": (frac_pow(xn, n), frac_pow(xd, n)) if n >= 0
+             else (frac_pow(xd, -n), frac_pow(xn, -n)),
+             "d": (frac_add(frac_mul(frac_derivative(xn), xd),
+                            frac_mul(tuple(-c for c in xn), frac_derivative(xd))),
+                   frac_mul(xd, xd))}[op]
+    return frac_ratfunc(*parts)
+
+
+class TestLazyCanonicalForm:
+    def test_chains_match_canonical_every_step(self):
+        """Seeded chains of + - * / ** and derivative: reading num, den,
+        repr and hash only at the end, or at random points between steps,
+        gives what canonicalizing after every step gives."""
+        rng = random.Random(89)
+        for max_num, max_den in SIZES:
+            for _ in range(100):
+                def operand():
+                    cs = [frac_trim(rand_rational_coeffs(rng, 2, max_num, max_den))
+                          for _ in range(2)]
+                    if not cs[1]:
+                        cs[1] = (Fraction(1),)
+                    return RatFunc(UPoly(cs[0]), UPoly(cs[1])), frac_ratfunc(*cs)
+
+                f, oracle = operand()
+                for _ in range(rng.randint(1, 6)):
+                    op = rng.choice(("+", "-", "*", "/", "**", "d"))
+                    g, other = operand()
+                    n = rng.randint(-2, 3)
+                    if op == "/" and g.is_zero or op == "**" and n < 0 and f.is_zero:
+                        continue
+                    f = {"+": lambda: f + g, "-": lambda: f - g, "*": lambda: f * g,
+                         "/": lambda: f / g, "**": lambda: f ** n,
+                         "d": lambda: f.derivative()}[op]()
+                    oracle = oracle_step(op, oracle, other, n)
+                    if rng.random() < 0.3:
+                        f.num  # later steps then start from the canonical parts
+                onum, oden = oracle
+                expected = frac_repr(onum)
+                if oden != (1,):
+                    expected += " / " + frac_repr(oden)
+                assert f.num.coeffs == onum and f.den.coeffs == oden
+                assert repr(f) == f"RatFunc({expected})"
+                assert hash(f) == hash((UPoly(onum), UPoly(oden)))
+
+    def test_arithmetic_and_equality_run_no_gcd(self, monkeypatch):
+        calls = count_gcd_calls(monkeypatch)
+        rng = random.Random(97)
+        for _ in range(50):
+            f, g = rand_ratfunc(rng, 3, nonzero=True), rand_ratfunc(rng, 3, nonzero=True)
+            h = ((f + g) * (f - g) / g) ** 2 - (-f) ** -1
+            assert h.derivative(2) == h.derivative().derivative()
+            assert (f + g) * (f - g) == f * f - g * g
+            assert not calls
+            h.num
+            assert len(calls) == 1
+            h.den, hash(h), repr(h), h.is_constant
+            assert len(calls) == 1
+            del calls[:]
+
+    def test_equal_values_hash_equal(self):
+        z = RatFunc.x()
+        routes = [RatFunc(UPoly((-1, 0, 1)), UPoly((-1, 1))),   # (z^2-1)/(z-1)
+                  (z * z - 1) / (z - 1),
+                  RatFunc(UPoly((2, 2)), UPoly((2,))),
+                  1 / (1 / (z + 1)),
+                  ((z + 1) ** 3 / (z + 1) ** 2),
+                  (z ** 2 / 2 + z).derivative()]
+        for f in routes:
+            assert f == z + 1 and hash(f) == hash(z + 1)
+            assert repr(f) == "RatFunc(UPoly(1 + z))"
+        assert len(set(routes)) == 1
 
 
 class TestUPoly:
