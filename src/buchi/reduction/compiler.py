@@ -37,6 +37,16 @@ from .parser import SourceSystem, evaluate
 # sequences.search(5, 2000) takes about 0.03 s (2-vCPU VM, CPython 3.11);
 # the budget is kept so that check accepts and refuses the same inputs.
 W_BOUND_BUDGET = 2000
+# Largest M times squarings compile_system accepts (resource guard): each
+# squaring becomes a gadget of M square witnesses, so the target grows as
+# their product.  At 10**5, x = (a+1)^2+...+(a+100)^2 at M = 1000, compile
+# prints 8.9 MB in about 1 s (2-vCPU VM, CPython 3.11).
+GADGET_BUDGET = 100_000
+# Largest work bounded_equisat accepts (resource guard): assignments times
+# what each one runs through, the source tokens (a bound on the nodes that
+# evaluate visits), the trace steps and the linear and square equations.
+# Box 20 on x*y = z (41**3 * 74 = 5.1 * 10**6) takes about 1.2 s.
+CHECK_WORK_BUDGET = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -147,6 +157,9 @@ def compile_system(system: SourceSystem, m: int = 5) -> TargetSystem:
     """
     check_m(m)
     inter = eliminate_mul(lower_tac(system))
+    if m * len(inter.squarings) > GADGET_BUDGET:
+        raise ValueError(f"M = {m} times {len(inter.squarings)} squarings > "
+                         f"{GADGET_BUDGET} refused (resource guard)")
     variables = list(inter.variables)
     linear = list(inter.linear)
     squares: list[SquareEq] = []
@@ -270,8 +283,9 @@ class EquisatReport:
 
 def bounded_equisat(system: SourceSystem, target: TargetSystem, box: int) -> EquisatReport:
     """Enumerate all source assignments in [-box, box]^k and check both
-    directions of the correspondence at desk scale.  Refuses at once a
-    box where some gadget witness exceeds W_BOUND_BUDGET."""
+    directions of the correspondence at desk scale.  Refuses before
+    enumerating when the work exceeds CHECK_WORK_BUDGET, and at once a box
+    where some gadget witness exceeds W_BOUND_BUDGET."""
     if box < 1:
         raise ValueError("box must be >= 1")
     if box > 50:
@@ -281,6 +295,11 @@ def bounded_equisat(system: SourceSystem, target: TargetSystem, box: int) -> Equ
         raise ValueError("more than 4 source variables refused (resource guard)")
     if (2 * box + 1) ** k > 2_000_000:
         raise ValueError("assignment box too large for exhaustive search (resource guard)")
+    work = (2 * box + 1) ** k * (system.size + len(target.trace)
+                                 + len(target.linear) + len(target.squares))
+    if work > CHECK_WORK_BUDGET:
+        raise ValueError(f"check of {work} assignment steps > {CHECK_WORK_BUDGET} "
+                         "refused (resource guard)")
     values = range(-box, box + 1)
     w_vars = [step[1] for step in target.trace if step[0] == "shift"]
     solutions: list[dict[str, int]] = []

@@ -11,7 +11,7 @@ the surface having no unexpected rational points).
 
 from __future__ import annotations
 
-from ..exact import as_fraction
+from ..surfaces import BuchiSurface, defining_forms
 
 DEFAULT_M = 35
 # Largest M accepted by compile, check and formulas (resource guard).
@@ -59,14 +59,11 @@ def _formula_h(m: int) -> str:
 
 
 def _formula_psi(deltas) -> str:
-    ds = tuple(as_fraction(d) for d in deltas)
-    if len(ds) < 2:
+    if len(deltas) < 2:
         raise ValueError("Psi needs at least two offsets")
-    if any(d == 0 for d in ds) or len(set(ds)) != len(ds):
-        raise ValueError("offsets must be distinct and nonzero")
-    n = len(ds) + 1
-    d2 = ds[0]
-    cs = [f"c{i}" for i in range(1, n + 1)]
+    surface = BuchiSurface(deltas)
+    d2 = surface.deltas[0]
+    cs = [f"c{i}" for i in range(1, surface.n + 1)]
     lines = ["Ψ[x,y] :="]
     lines.append("  " + " ".join(f"∃{c}" for c in cs) + " (")
     lines.append("      ψ(" + ",".join(cs) + ")")
@@ -76,14 +73,12 @@ def _formula_psi(deltas) -> str:
     lines.append("where")
     lines.append("ψ(" + ",".join(cs) + ") :=")
     lines.append("      " + " ∧ ".join(f"P2({c})" for c in cs))
-    for i in range(3, n + 1):
-        di = ds[i - 2]
-        lines.append(f"    ∧ {d2}*c{i} = {di * d2 * (di - d2)}"
-                     f" - {di - d2}*c1 + {di}*c2")
+    for i, c0, c1, c2, ci in defining_forms(surface):
+        lines.append(f"    ∧ {-ci}*c{i} = {c0} - {-c1}*c1 + {c2}*c2")
     lines.append("  (the conjuncts put [1 : sqrt(c1) : ... : sqrt(c%d)] on the"
-                 % n)
+                 % surface.n)
     lines.append("   quadric surface with offsets "
-                 + ",".join(str(d) for d in ds) + ")")
+                 + ",".join(str(d) for d in surface.deltas) + ")")
     return "\n".join(lines)
 
 

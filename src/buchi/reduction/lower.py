@@ -26,10 +26,12 @@ Both sides of each equation are lowered by one walk over the syntax
 tree, so the program grows with the input text, not with the monomials of
 the expanded polynomial.  Steps are hash-consed (equal subterms share one
 temporary) and subterms without variables fold to integers, refused
-(resource guard) beyond parser.MAX_CONSTANT_BITS.  A power is
+(resource guard) beyond parser.MAX_CONSTANT_BITS.  A sum is a chain of
+add and sub steps over its terms, left to right.  A power is
 square-and-multiply; a product multiplies its variable factors and
-applies its constant factor last by a doubling chain of additions, so
-every mul step is variable*variable and no constant enters a square.
+applies its constant factor (its integer factors and signs) last by a
+doubling chain of additions, so every mul step is variable*variable and
+no constant enters a square.
 
 eliminate_mul replaces d := a*b for distinct a, b by the polarization
 
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 from functools import partial, reduce
 from math import prod
 
-from .parser import (Add, Mul, Neg, Num, Pow, SourceSystem, Var, bounded,
+from .parser import (Num, Pow, Product, SourceSystem, Var, bounded,
                      bounded_pow)
 
 
@@ -112,26 +114,24 @@ class _Lowerer:
             return node.value
         if isinstance(node, Var):
             return node.name
-        if isinstance(node, (Mul, Neg)):
-            factors = self.factors(node)
+        if isinstance(node, Pow):
+            return self.power(self.lower(node.base), node.exponent)
+        if isinstance(node, Product):
+            factors = []  # a loop, not a comprehension: one frame per level
+            for factor in node.factors:
+                factors.append(self.lower(factor))
             c = bounded(prod(f for f in factors if isinstance(f, int)))
             names = [f for f in factors if isinstance(f, str)]
             return (self.scale(reduce(partial(self.step, "mul"), names), c)
                     if names and c else c)
-        if isinstance(node, Pow):
-            return self.power(self.lower(node.base), node.exponent)
-        left, right = self.lower(node.left), self.lower(node.right)
-        if isinstance(left, int) and isinstance(right, int):
-            return bounded(left + right if isinstance(node, Add) else left - right)
-        return self.step("add" if isinstance(node, Add) else "sub", left, right)
-
-    def factors(self, node) -> list:
-        """Lowered factors of a product chain, a negation as the factor -1."""
-        if isinstance(node, Mul):
-            return self.factors(node.left) + self.factors(node.right)
-        if isinstance(node, Neg):
-            return [-1] + self.factors(node.operand)
-        return [self.lower(node)]
+        acc = self.lower(node.terms[0][1])
+        for sign, term in node.terms[1:]:
+            value = self.lower(term)
+            if isinstance(acc, int) and isinstance(value, int):
+                acc = bounded(acc + value if sign > 0 else acc - value)
+            else:
+                acc = self.step("add" if sign > 0 else "sub", acc, value)
+        return acc
 
     def power(self, base: str | int, k: int) -> str | int:
         """base**k by left-to-right square-and-multiply."""
@@ -168,8 +168,7 @@ def lower_tac(system: SourceSystem) -> TACProgram:
     lw = _Lowerer()
     equalities: list[tuple[str, str]] = []
     for eq in system.equations:
-        left = lw.name(lw.lower(eq.expr.left))
-        right = lw.name(lw.lower(eq.expr.right))
+        left, right = [lw.name(lw.lower(side)) for _, side in eq.expr.terms]
         if left != right:
             equalities.append((left, right))
     return TACProgram(source_vars=system.variables,

@@ -13,13 +13,21 @@ An IDENT starts with a letter and goes on with letters, digits and '_';
 a leading '_' is refused, because the compiler names its target
 variables _t<n>, _u<n> and _w<n>.
 
-Equations are normalized on parse: lhs = rhs becomes (lhs - rhs) = 0.
-All positions are 1-based (line, column).
+The syntax tree has five node types: the leaves Num and Var, and
+Pow(base, exponent), Sum(terms) and Product(factors).  A Sum holds the
+(sign, term) pairs of one expr in source order, each sign +1 or -1 and
+the first +1; a parenthesized sum stays one term.  A Product holds the
+factors of one term in source order, with those of a nested product
+spliced in, parenthesized or not, and a sign as the factor Num(-1).  An
+expr of one term is that term, and a term of one factor that factor.
+
+Equations are normalized on parse: lhs = rhs becomes the two-term Sum
+lhs - rhs, read as lhs - rhs = 0.  Positions are 1-based (line, column).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..symbolic import MPoly, UPoly
 
@@ -36,12 +44,11 @@ MAX_CONSTANT_BITS = 14_000
 # 2 s.  A polynomial of degree 1 may still take MAX_CONSTANT_BITS bits.
 MAX_POLY_DEGREE = 200
 MAX_POLY_SIZE = 160_000_000
-# Deepest expression accepted, in nested Python calls (resource guard);
-# CPython allows about 1000.  Parsing nests four calls for each '(' and one
-# for each sign, and folding, evaluation and lowering one call for each
-# operator level of the syntax tree.  A flat sum or product of n terms is
-# n - 1 levels deep, so 200 nested parentheses, a dense polynomial of
-# degree MAX_POLY_DEGREE and a sum of 800 terms all fit.
+# Deepest nesting accepted, in parser calls (resource guard): four for
+# each '(' and one for each sign, where CPython allows about 1000.  A sum
+# or product of any length is one node, and each node is built by a
+# deeper parser call than its parent, so folding, evaluation and lowering,
+# one call per node level, never nest deeper than the parser did.
 MAX_DEPTH = 800
 
 
@@ -115,47 +122,27 @@ def tokenize(text: str) -> list[Token]:
 @dataclass(frozen=True)
 class Num:
     value: int
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class Var:
     name: str
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+class Sum:
+    terms: tuple[tuple[int, object], ...]
 
 
 @dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+class Product:
+    factors: tuple
 
 
 @dataclass(frozen=True)
 class Pow:
     base: object
     exponent: int
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -169,12 +156,23 @@ class Equation:
 class SourceSystem:
     equations: tuple[Equation, ...]
     variables: tuple[str, ...]
+    size: int  # tokens of the source, a bound on the nodes of its trees
+
+
+def _product(factors: list):
+    """The Product of factors, with the factors of any nested Product
+    spliced in; a single factor is itself."""
+    flat = []
+    for f in factors:
+        flat.extend(f.factors if isinstance(f, Product) else (f,))
+    return Product(tuple(flat)) if len(flat) > 1 else flat[0]
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.names: set[str] = set()
 
     @property
     def current(self) -> Token:
@@ -196,47 +194,27 @@ class _Parser:
                 break
             equations.append(self.parse_equation())
         self.eat("EOF")
-        names: set[str] = set()
-        for eq in equations:
-            collect_variables(eq.expr, names)
-        return SourceSystem(tuple(equations), tuple(sorted(names)))
+        return SourceSystem(tuple(equations), tuple(sorted(self.names)), len(self.tokens))
 
     def parse_equation(self) -> Equation:
-        lhs = self.parse_shallow()
-        tok = self.eat("EQUALS")
-        rhs = self.parse_shallow()
-        return Equation(Sub(lhs, rhs, (tok.line, tok.col)))
-
-    def parse_shallow(self):
-        """parse_expr, refused (resource guard) when the tree it returns
-        is more than MAX_DEPTH operator levels deep."""
-        tok = self.current
-        node = self.parse_expr()
-        depth, level = 0, [node]
-        while level := [c for n in level for c in _children(n)]:
-            depth += 1
-        if depth > MAX_DEPTH:
-            raise ParseError(f"expression {depth} operator levels deep > {MAX_DEPTH} "
-                             "refused (resource guard)", tok.line, tok.col)
-        return node
+        lhs = self.parse_expr()
+        self.eat("EQUALS")
+        return Equation(Sum(((1, lhs), (-1, self.parse_expr()))))
 
     def parse_expr(self, nesting: int = 0):
-        node = self.parse_term(nesting)
+        terms = [(1, self.parse_term(nesting))]
         while self.current.kind in ("PLUS", "MINUS"):
-            tok = self.current
+            sign = 1 if self.current.kind == "PLUS" else -1
             self.pos += 1
-            rhs = self.parse_term(nesting)
-            cls = Add if tok.kind == "PLUS" else Sub
-            node = cls(node, rhs, (tok.line, tok.col))
-        return node
+            terms.append((sign, self.parse_term(nesting)))
+        return Sum(tuple(terms)) if len(terms) > 1 else terms[0][1]
 
     def parse_term(self, nesting: int):
-        node = self.parse_factor(nesting)
+        factors = [self.parse_factor(nesting)]
         while self.current.kind == "STAR":
-            tok = self.current
             self.pos += 1
-            node = Mul(node, self.parse_factor(nesting), (tok.line, tok.col))
-        return node
+            factors.append(self.parse_factor(nesting))
+        return _product(factors)
 
     def parse_factor(self, nesting: int):
         """A factor `nesting` parser calls inside open parentheses and
@@ -246,32 +224,30 @@ class _Parser:
             raise ParseError(f"parentheses and signs nested more than {MAX_DEPTH} "
                              "parser calls deep (4 for each '(') refused "
                              "(resource guard)", tok.line, tok.col)
-        if tok.kind == "MINUS":
+        if tok.kind in ("MINUS", "PLUS"):
             self.pos += 1
-            return Neg(self.parse_factor(nesting + 1), (tok.line, tok.col))
-        if tok.kind == "PLUS":
-            self.pos += 1
-            return self.parse_factor(nesting + 1)
+            node = self.parse_factor(nesting + 1)
+            return _product([Num(-1), node]) if tok.kind == "MINUS" else node
         node = self.parse_atom(nesting)
         if self.current.kind == "CARET":
-            caret = self.current
             self.pos += 1
             exp_tok = self.eat("INT")
             exponent = int(exp_tok.text)
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent overflow (max {MAX_EXPONENT})",
                                  exp_tok.line, exp_tok.col)
-            node = Pow(node, exponent, (caret.line, caret.col))
+            node = Pow(node, exponent)
         return node
 
     def parse_atom(self, nesting: int):
         tok = self.current
         if tok.kind == "INT":
             self.pos += 1
-            return Num(int(tok.text), (tok.line, tok.col))
+            return Num(int(tok.text))
         if tok.kind == "IDENT":
             self.pos += 1
-            return Var(tok.text, (tok.line, tok.col))
+            self.names.add(tok.text)
+            return Var(tok.text)
         if tok.kind == "LPAREN":
             self.pos += 1
             node = self.parse_expr(nesting + 4)
@@ -287,25 +263,6 @@ def parse(text: str) -> SourceSystem:
     if tokens[0].kind == "EOF":
         raise ParseError("empty system", tokens[0].line, tokens[0].col)
     return _Parser(tokens).parse_system()
-
-
-def _children(node) -> tuple:
-    if isinstance(node, (Add, Sub, Mul)):
-        return node.left, node.right
-    if isinstance(node, Neg):
-        return (node.operand,)
-    if isinstance(node, Pow):
-        return (node.base,)
-    return ()
-
-
-def collect_variables(expr, out: set[str]) -> None:
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.name)
-        stack.extend(_children(node))
 
 
 def bounded(value: int) -> int:
@@ -334,14 +291,16 @@ def evaluate(expr, env) -> int:
         return expr.value
     if isinstance(expr, Var):
         return env[expr.name]
-    if isinstance(expr, Add):
-        return evaluate(expr.left, env) + evaluate(expr.right, env)
-    if isinstance(expr, Sub):
-        return evaluate(expr.left, env) - evaluate(expr.right, env)
-    if isinstance(expr, Mul):
-        return evaluate(expr.left, env) * evaluate(expr.right, env)
-    if isinstance(expr, Neg):
-        return -evaluate(expr.operand, env)
+    if isinstance(expr, Sum):
+        total = 0
+        for sign, term in expr.terms:
+            total += evaluate(term, env) if sign > 0 else -evaluate(term, env)
+        return total
+    if isinstance(expr, Product):
+        value = 1
+        for factor in expr.factors:
+            value *= evaluate(factor, env)
+        return value
     if isinstance(expr, Pow):
         return bounded_pow(evaluate(expr.base, env), expr.exponent)
     raise TypeError(f"not an expression node: {expr!r}")
@@ -354,14 +313,17 @@ def _fold(expr, const, var):
         return const(expr.value)
     if isinstance(expr, Var):
         return var(expr.name)
-    if isinstance(expr, Add):
-        return _fold(expr.left, const, var) + _fold(expr.right, const, var)
-    if isinstance(expr, Sub):
-        return _fold(expr.left, const, var) - _fold(expr.right, const, var)
-    if isinstance(expr, Mul):
-        return _fold(expr.left, const, var) * _fold(expr.right, const, var)
-    if isinstance(expr, Neg):
-        return -_fold(expr.operand, const, var)
+    if isinstance(expr, Sum):
+        acc = _fold(expr.terms[0][1], const, var)
+        for sign, term in expr.terms[1:]:
+            value = _fold(term, const, var)
+            acc = acc + value if sign > 0 else acc - value
+        return acc
+    if isinstance(expr, Product):
+        acc = _fold(expr.factors[0], const, var)
+        for factor in expr.factors[1:]:
+            acc = acc * _fold(factor, const, var)
+        return acc
     if isinstance(expr, Pow):
         return _fold(expr.base, const, var) ** expr.exponent
     raise TypeError(f"not an expression node: {expr!r}")
@@ -376,19 +338,23 @@ def expand(expr, variables: tuple[str, ...]) -> MPoly:
 def _size_bound(expr) -> tuple[int, int]:
     """Upper bounds on the total degree of expr and on the sum of the
     absolute values of its coefficients, read off the AST; the sum is
-    refused beyond MAX_CONSTANT_BITS bits."""
+    refused beyond MAX_CONSTANT_BITS bits after each term or factor."""
     if isinstance(expr, Num):
-        return 0, expr.value
+        return 0, abs(expr.value)
     if isinstance(expr, Var):
         return 1, 1
-    if isinstance(expr, (Add, Sub)):
-        (d1, n1), (d2, n2) = _size_bound(expr.left), _size_bound(expr.right)
-        return max(d1, d2), bounded(n1 + n2)
-    if isinstance(expr, Mul):
-        (d1, n1), (d2, n2) = _size_bound(expr.left), _size_bound(expr.right)
-        return d1 + d2, bounded(n1 * n2)
-    if isinstance(expr, Neg):
-        return _size_bound(expr.operand)
+    if isinstance(expr, Sum):
+        degree, norm = _size_bound(expr.terms[0][1])
+        for _, term in expr.terms[1:]:
+            d, n = _size_bound(term)
+            degree, norm = max(degree, d), bounded(norm + n)
+        return degree, norm
+    if isinstance(expr, Product):
+        degree, norm = _size_bound(expr.factors[0])
+        for factor in expr.factors[1:]:
+            d, n = _size_bound(factor)
+            degree, norm = degree + d, bounded(norm * n)
+        return degree, norm
     if isinstance(expr, Pow):
         degree, norm = _size_bound(expr.base)
         return degree * expr.exponent, bounded_pow(norm, expr.exponent)
@@ -408,12 +374,10 @@ def parse_poly(text: str, var: str = "z") -> UPoly:
     if tokens[0].kind == "EOF":
         raise ParseError("empty polynomial", tokens[0].line, tokens[0].col)
     parser = _Parser(tokens)
-    expr = parser.parse_shallow()
+    expr = parser.parse_expr()
     parser.eat("EOF")
-    names: set[str] = set()
-    collect_variables(expr, names)
-    if not names <= {var}:
-        bad = sorted(names - {var})[0]
+    if not parser.names <= {var}:
+        bad = sorted(parser.names - {var})[0]
         raise ParseError(f"unknown variable {bad!r} (only {var!r} is allowed)", 1, 1)
     degree, norm = _size_bound(expr)
     if degree > MAX_POLY_DEGREE:

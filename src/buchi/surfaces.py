@@ -153,7 +153,7 @@ class TrivialLineWitness:
     nu: Fraction | None
 
 
-def _forms(s: BuchiSurface):
+def defining_forms(s: BuchiSurface):
     """(i, c_0, c_1, c_2, c_i) for each defining form c_0*x_0**2 +
     c_1*x_1**2 + c_2*x_2**2 + c_i*x_i**2 = 0, i = 3..n; no other
     coefficient of a form is nonzero."""
@@ -166,7 +166,7 @@ def surface_equations(s: BuchiSurface) -> list[tuple[Fraction, ...]]:
     """Coefficient vectors (c_0..c_n) of the n-2 defining forms, each
     meaning sum of c_j*x_j**2 = 0."""
     eqs = []
-    for i, c0, c1, c2, ci in _forms(s):
+    for i, c0, c1, c2, ci in defining_forms(s):
         c = [Fraction(0)] * (s.n + 1)
         c[0], c[1], c[2], c[i] = c0, c1, c2, ci
         eqs.append(tuple(c))
@@ -184,7 +184,7 @@ def contains(s: BuchiSurface, p: ProjectivePoint) -> bool:
     _check_arity(s, p)
     sq = [c * c for c in p.coords]
     return all(c0 * sq[0] + c1 * sq[1] + c2 * sq[2] + ci * sq[i] == 0
-               for i, c0, c1, c2, ci in _forms(s))
+               for i, c0, c1, c2, ci in defining_forms(s))
 
 
 def trivial_line_member(s: BuchiSurface, p: ProjectivePoint) -> TrivialLineWitness | None:

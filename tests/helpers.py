@@ -41,14 +41,26 @@ def count_gcd_calls(monkeypatch) -> list:
     return calls
 
 
-# Expressions in z that are n levels deep, each with the nested calls a
-# level costs as parser.MAX_DEPTH counts them.
+# Expressions in z of size n, each with the parser calls a unit of n
+# costs as parser.MAX_DEPTH counts them: n nested levels of parentheses
+# or signs, or None for a flat sum or product of n terms, which any n fits.
 DEEP_SHAPES = {
     "parentheses": (4, lambda n: "(" * n + "z" + ")" * n),
     "signs": (1, lambda n: "-" * n + "z"),
-    "sum": (1, lambda n: "+".join(["z"] * (n + 1))),
-    "product": (1, lambda n: "*".join(["z"] + ["2"] * n)),
+    "sum": (None, lambda n: "+".join(["z"] * n)),
+    "product": (None, lambda n: "*".join(["z"] + ["2"] * (n - 1))),
 }
+# Length at which the flat shapes are tested.
+FLAT_LENGTH = 4000
+
+
+def mixed_nesting(levels: int) -> str:
+    """A power of a sum of products, nested `levels` parentheses deep:
+    three syntax-tree levels for each '(', all of degree 1 in z."""
+    text = "z"
+    for _ in range(levels):
+        text = f"(2*{text}+z)^1"
+    return text
 
 
 def dense_poly(degree: int) -> str:

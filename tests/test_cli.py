@@ -1,13 +1,15 @@
 import json
 import re
 import time
+from pathlib import Path
 
 import pytest
 
 from buchi.cli import main
+from buchi.reduction.compiler import CHECK_WORK_BUDGET, GADGET_BUDGET
 from buchi.reduction.formulas import MAX_M
 from buchi.reduction.parser import MAX_DEPTH, MAX_POLY_DEGREE
-from helpers import DEEP_SHAPES, dense_poly
+from helpers import DEEP_SHAPES, FLAT_LENGTH, dense_poly, mixed_nesting
 
 
 def run(capsys, *argv):
@@ -22,6 +24,7 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+GOLDEN = Path(__file__).parent / "golden"
 FLOAT_LITERAL = re.compile(r"\d\.\d")
 
 
@@ -333,6 +336,53 @@ class TestCompileCheck:
             assert code == 1 and out == "" and "(resource guard)" in err
             assert time.monotonic() - t0 < 1
 
+    @pytest.mark.parametrize("command", ["compile", "check"])
+    def test_gadget_budget(self, capsys, tmp_path, command):
+        # M times squarings may not exceed GADGET_BUDGET, at M = MAX_M or
+        # in a long flat sum; (a+k)^2 is one squaring, (a+k)^4096 twelve
+        def squares(terms: int, k: int) -> str:
+            return "x = " + "+".join(f"(a+{i})^{k}" for i in range(1, terms + 1)) + "\n"
+
+        src = tmp_path / "sys.dioph"
+        box = ["--box", "1"] if command == "check" else []
+        for text, m, refused in ((squares(10, 2), MAX_M, False),
+                                 (squares(GADGET_BUDGET // MAX_M + 1, 2), MAX_M, True),
+                                 (squares(GADGET_BUDGET // 60 + 1, 4096), 5, True)):
+            src.write_text(text)
+            t0 = time.monotonic()
+            code, out, err = run(capsys, command, "--in", str(src), "--m", str(m), *box)
+            assert time.monotonic() - t0 < 1
+            if refused:
+                assert code == 1 and out == "" and "(resource guard)" in err
+            else:
+                assert code == 0 and out, err
+
+    def test_check_work_budget(self, capsys, tmp_path):
+        # x*y = z is 6 tokens and compiles to 68 trace steps and
+        # equations: box 18 is 37**3 * 74 = 3.7 * 10**6 steps, box 19 4.4;
+        # a long constant sum folds away in the target, but evaluation
+        # still visits every term
+        assert 37 ** 3 * 74 <= CHECK_WORK_BUDGET < 39 ** 3 * 74
+        src = tmp_path / "sys.dioph"
+        ones = "+".join(["1"] * 2000)
+        for text, box in (("x*y = z", 19), ("x*y = z", 50), (f"x = y + ({ones})", 50)):
+            src.write_text(text + "\n")
+            t0 = time.monotonic()
+            code, out, err = run(capsys, "check", "--in", str(src), "--box", str(box))
+            assert code == 1 and out == "" and "(resource guard)" in err
+            assert time.monotonic() - t0 < 1
+        src.write_text("x*y = z\n")
+        payload = run_json(capsys, "check", "--in", str(src), "--box", "3", "--json")
+        assert payload["passed"] is True and payload["assignments"] == 7 ** 3
+
+    def test_golden_compile_text(self, capsys):
+        # a source that mixes signs, nested parentheses, constant products
+        # and powers keeps the text the binary-tree parser compiled it to
+        code, out, err = run(capsys, "compile", "--in", str(GOLDEN / "mixed.dioph"),
+                             "--m", "3", "--emit", "text")
+        assert code == 0, err
+        assert out == (GOLDEN / "mixed.m3.txt").read_text(encoding="utf-8")
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         src = tmp_path / "sys.dioph"
         src.write_text("x + = 3\n")
@@ -340,18 +390,26 @@ class TestCompileCheck:
         assert code == 1 and "column 5" in err
 
 
+def _expr_argv(command: str, expr: str, src) -> list[str]:
+    """argv that runs `command` on the expression expr, through
+    x = expr in the file src for compile and check."""
+    src.write_text(f"x = {expr}\n")
+    return {"padic": ["padic", "norm", "--p", "3", f"--poly={expr}", "--rho", "1"],
+            "compile": ["compile", "--in", str(src)],
+            "check": ["check", "--in", str(src), "--box", "1"]}[command]
+
+
 class TestDepthGuard:
     @pytest.mark.parametrize("command", ["padic", "compile", "check"])
     @pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
     def test_inside_and_past_the_limit(self, capsys, tmp_path, shape, command):
-        src = tmp_path / "deep.dioph"
+        # parentheses and signs at the most levels MAX_DEPTH allows, and
+        # one more; a flat sum or product has no limit
         cost, deep = DEEP_SHAPES[shape]
-        for depth, refused in ((MAX_DEPTH // cost, False), (MAX_DEPTH // cost + 1, True)):
-            expr = deep(depth)
-            src.write_text(f"x = {expr}\n")
-            argv = {"padic": ["padic", "norm", "--p", "3", f"--poly={expr}", "--rho", "1"],
-                    "compile": ["compile", "--in", str(src)],
-                    "check": ["check", "--in", str(src), "--box", "1"]}[command]
+        sizes = (((FLAT_LENGTH, False),) if cost is None else
+                 ((MAX_DEPTH // cost, False), (MAX_DEPTH // cost + 1, True)))
+        for size, refused in sizes:
+            argv = _expr_argv(command, deep(size), tmp_path / "deep.dioph")
             t0 = time.monotonic()
             code, out, err = run(capsys, *argv)
             assert time.monotonic() - t0 < 1
@@ -360,9 +418,17 @@ class TestDepthGuard:
             else:
                 assert code == 0 and out, err
 
+    @pytest.mark.parametrize("command", ["padic", "compile", "check"])
+    def test_mixed_nesting_at_the_limit(self, capsys, tmp_path, command):
+        # a power of a sum of products in MAX_DEPTH // 4 parentheses: no
+        # walk of its tree raises a RecursionError
+        argv = _expr_argv(command, mixed_nesting(MAX_DEPTH // 4), tmp_path / "deep.dioph")
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out, err
+
     def test_dense_poly_and_long_sum(self, capsys, tmp_path):
-        # a dense polynomial of the top degree and a sum of 300 terms are
-        # far inside the depth budget
+        # a dense polynomial of the top degree and a sum of 300 terms
+        # with coefficients and powers
         code, out, err = run(capsys, "padic", "norm", "--p", "3",
                              f"--poly={dense_poly(MAX_POLY_DEGREE)}", "--rho", "1")
         assert code == 0 and out, err

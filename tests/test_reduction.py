@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -10,9 +11,11 @@ from buchi.reduction import (ParseError, TACProgram, bounded_equisat,
                              evaluate, expand, lower_tac, parse, parse_poly,
                              print_formulas, run_trace, translate_witness,
                              validate_target)
-from buchi.reduction.parser import MAX_DEPTH, MAX_POLY_DEGREE
+from buchi.reduction.parser import (MAX_DEPTH, MAX_POLY_DEGREE, Num, Pow,
+                                    Product, Sum, Var)
+from buchi.surfaces import BuchiSurface, surface_equations
 from buchi.symbolic import UPoly
-from helpers import DEEP_SHAPES, dense_poly
+from helpers import DEEP_SHAPES, FLAT_LENGTH, dense_poly, mixed_nesting
 
 
 class TestParser:
@@ -101,10 +104,10 @@ class TestParser:
                      "x = 9^4096 * 9^4096", "x = 2^4096 * 2^4096 * 2^4096 * 2^4096"):
             with pytest.raises(ValueError, match="resource guard"):
                 lower_tac(parse(text))
-        assert evaluate(parse("x = (y^4096)^3").equations[0].expr.right,
+        assert evaluate(parse("x = (y^4096)^3").equations[0].expr.terms[1][1],
                         {"y": 2}) == 2 ** 12288
         with pytest.raises(ValueError, match="resource guard"):
-            evaluate(parse("x = (y^4096)^4096").equations[0].expr.right, {"y": 2})
+            evaluate(parse("x = (y^4096)^4096").equations[0].expr.terms[1][1], {"y": 2})
         with pytest.raises(ValueError, match="resource guard"):
             parse_poly("(9^4096)^4096")
         with pytest.raises(ValueError, match="resource guard"):
@@ -120,9 +123,14 @@ class TestParser:
                 parse_poly(text)
 
     def test_depth_budget(self):
-        # each shape parses at the most levels MAX_DEPTH allows, and one
-        # more is a ParseError, never a RecursionError
+        # parentheses and signs parse at the most levels MAX_DEPTH allows,
+        # and one more is a ParseError, never a RecursionError; a flat sum
+        # or product parses at any length
         for cost, deep in DEEP_SHAPES.values():
+            if cost is None:
+                assert parse_poly(deep(FLAT_LENGTH)).degree == 1
+                assert parse(f"x = {deep(FLAT_LENGTH)}").variables == ("x", "z")
+                continue
             n = MAX_DEPTH // cost
             assert parse_poly(deep(n)).degree == 1
             assert parse(f"x = {deep(n)}").variables == ("x", "z")
@@ -132,9 +140,33 @@ class TestParser:
                 with pytest.raises(ParseError, match="resource guard"):
                     parser(text)
 
+    def test_mixed_nesting_at_the_limit(self):
+        # a power of a sum of products in MAX_DEPTH // 4 parentheses is
+        # three tree levels per '(', and every walk of it finishes
+        text = mixed_nesting(MAX_DEPTH // 4)
+        assert parse_poly(text).degree == 1
+        system = parse(f"x = {text}")
+        assert evaluate(system.equations[0].expr, {"x": 1, "z": 1}) == 2 - 2 ** 201
+        assert expand(system.equations[0].expr, system.variables).terms
+        validate_target(compile_system(system, m=5))
+        with pytest.raises(ParseError, match="resource guard"):
+            parse(f"x = {mixed_nesting(MAX_DEPTH // 4 + 1)}")
+
+    def test_flat_tree(self):
+        # a product splices nested products, parenthesized or not, with a
+        # sign as the factor -1; a parenthesized sum stays one term
+        z, y = Var("z"), Var("y")
+        assert parse("y = -z*(2*(z*y))").equations[0].expr == Sum(
+            ((1, y), (-1, Product((Num(-1), z, Num(2), z, y)))))
+        expr = parse("y = y-(z+y)+z^2").equations[0].expr.terms[1][1]
+        assert expr == Sum(((1, y), (-1, Sum(((1, z), (1, y)))), (1, Pow(z, 2))))
+        assert parse("y = (z)").equations[0].expr.terms[1][1] == z
+        assert (lower_tac(parse("x = z+(y+w)")).instrs
+                != lower_tac(parse("x = (z+y)+w")).instrs)
+
     def test_dense_poly_at_degree_limit(self):
         # written term by term, a polynomial of degree MAX_POLY_DEGREE is
-        # MAX_POLY_DEGREE + 2 operator levels deep and fits the depth budget
+        # one flat sum of MAX_POLY_DEGREE + 1 terms
         poly = parse_poly(dense_poly(MAX_POLY_DEGREE))
         assert poly.coeffs == (*range(2, MAX_POLY_DEGREE + 2), -MAX_POLY_DEGREE - 2)
 
@@ -519,6 +551,22 @@ class TestFormulas:
         assert "1*c3 = 2 - 1*c1 + 2*c2" in text
         assert "y = c1" in text
         assert text.count("(") == text.count(")")
+
+    @pytest.mark.parametrize("deltas", [None, (1, 2), ("1/2", -3, "5/7", 4)])
+    def test_psi_conjuncts_are_the_surface_equations(self, deltas):
+        # d2*ci = a - b*c1 + e*c2 read as the linear form
+        # a*1 - b*c1 + e*c2 - d2*ci in (1, c1, ..., cn)
+        surface = BuchiSurface(deltas or range(1, 8))
+        conjunct = re.compile(r"    ∧ (\S+)\*c(\d+) = (\S+) - (\S+)\*c1 \+ (\S+)\*c2")
+        rows = []
+        for line in print_formulas("Psi", deltas=deltas).splitlines():
+            if match := conjunct.fullmatch(line):
+                d2, i, a, b, e = match.groups()
+                row = [Fraction(0)] * (surface.n + 1)
+                row[0], row[1], row[2] = Fraction(a), -Fraction(b), Fraction(e)
+                row[int(i)] -= Fraction(d2)
+                rows.append(tuple(row))
+        assert rows == surface_equations(surface)
 
     def test_psi_default_has_eight_coordinates(self):
         text = print_formulas("Psi")
