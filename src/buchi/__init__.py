@@ -1,11 +1,21 @@
 """Exact-arithmetic workbench for square sequences with constant second
 difference, the quadric surfaces attached to them, p-adic value
 distribution of rational functions, and the reduction of Diophantine
-systems to diagonal quadratic form."""
+systems to diagonal quadratic form.
+
+`import buchi` loads no submodule: each one loads on first use, as
+`buchi.nevanlinna` or `from buchi import surfaces`, so that a `buchi`
+command starts with only the modules it runs."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from . import exact, nevanlinna, reduction, sequences, surfaces, symbolic
-
 __all__ = ["exact", "nevanlinna", "reduction", "sequences", "surfaces",
            "symbolic", "__version__"]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,14 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import nevanlinna, reduction, sequences, surfaces
-from .exact import as_fraction
-from .symbolic import RatFunc, UPoly
+# Each handler imports the modules it runs, so that an invocation loads
+# only those of its subcommand.
 
 
-def _rat_list(text: str) -> list[Fraction]:
+def _rat_list(text: str) -> list:
+    from .exact import as_fraction
     return [as_fraction(part) for part in text.split(",") if part != ""]
 
 
@@ -35,14 +34,18 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
-def _ratfunc(args, num_attr: str = "num", den_attr: str = "den") -> RatFunc:
-    num = reduction.parse_poly(getattr(args, num_attr))
+def _ratfunc(args, num_attr: str = "num", den_attr: str = "den"):
+    from . import nevanlinna
+    from .reduction.parser import parse_poly
+    from .symbolic import UPoly
+    num = parse_poly(getattr(args, num_attr))
     den_text = getattr(args, den_attr, None)
-    den = reduction.parse_poly(den_text) if den_text else UPoly.constant(1)
+    den = parse_poly(den_text) if den_text else UPoly.constant(1)
     return nevanlinna.quotient(num, den)
 
 
 def _cmd_seq_search(args) -> int:
+    from . import sequences
     results = sequences.search(args.length, args.bound)
     values = [list(seq.values) for seq in results]
     payload = {"length": args.length, "bound": args.bound, "nontrivial": values}
@@ -52,6 +55,7 @@ def _cmd_seq_search(args) -> int:
 
 
 def _cmd_seq_verify(args) -> int:
+    from . import sequences
     values = _int_list(args.values)
     if not sequences.is_buchi(values):
         _emit(args, {"values": values, "is_buchi": False, "trivial": None,
@@ -69,6 +73,7 @@ def _cmd_seq_verify(args) -> int:
 
 
 def _cmd_surface_check(args) -> int:
+    from . import surfaces
     surface = surfaces.BuchiSurface(_rat_list(args.deltas))
     point = surfaces.ProjectivePoint(_rat_list(args.point))
     on_surface = surfaces.contains(surface, point)
@@ -80,6 +85,7 @@ def _cmd_surface_check(args) -> int:
 
 
 def _cmd_surface_line(args) -> int:
+    from . import surfaces
     surface = surfaces.BuchiSurface(_rat_list(args.deltas))
     point = surfaces.ProjectivePoint(_rat_list(args.point))
     witness = surfaces.trivial_line_member(surface, point)
@@ -95,6 +101,7 @@ def _cmd_surface_line(args) -> int:
 
 
 def _cmd_surface_scan(args) -> int:
+    from . import surfaces
     nodes = surfaces.EvaluationNodes(_rat_list(args.nodes))
     found = surfaces.scan_exceptional(nodes, args.height,
                                       integers_only=args.integers_only)
@@ -114,6 +121,7 @@ def _cmd_surface_scan(args) -> int:
 
 
 def _cmd_surface_family(args) -> int:
+    from . import surfaces
     f, nodes, roots = surfaces.counterexample_family(args.N)
     payload = {"N": args.N, "f": {"u": str(f.u), "v": str(f.v)},
                "nodes": [str(a) for a in nodes],
@@ -126,14 +134,20 @@ def _cmd_surface_family(args) -> int:
 
 
 def _cmd_padic_norm(args) -> int:
-    poly = reduction.parse_poly(args.poly)
+    from . import nevanlinna
+    from .exact import as_fraction
+    from .reduction.parser import parse_poly
+    poly = parse_poly(args.poly)
     value = nevanlinna.gauss_log_norm(poly, args.p, as_fraction(args.rho))
     _emit(args, {"p": args.p, "rho": args.rho, "log_norm": str(value)}, str(value))
     return 0
 
 
 def _cmd_padic_zeros(args) -> int:
-    poly = reduction.parse_poly(args.poly)
+    from . import nevanlinna
+    from .exact import as_fraction
+    from .reduction.parser import parse_poly
+    poly = parse_poly(args.poly)
     rho = as_fraction(args.rho)
     polygon = nevanlinna.newton_polygon(poly, args.p)
     count = nevanlinna.count_zeros(poly, args.p, rho)
@@ -145,6 +159,7 @@ def _cmd_padic_zeros(args) -> int:
 
 
 def _cmd_padic_pjf(args) -> int:
+    from . import nevanlinna
     f = _ratfunc(args)
     rhos = _rat_list(args.rhos)
     constant = nevanlinna.check_pjf(f, args.p, rhos)
@@ -154,6 +169,8 @@ def _cmd_padic_pjf(args) -> int:
 
 
 def _cmd_padic_ldl(args) -> int:
+    from . import nevanlinna
+    from .exact import as_fraction
     f = _ratfunc(args)
     holds = nevanlinna.check_ldl(f, args.n, args.p, as_fraction(args.rho))
     _emit(args, {"p": args.p, "n": args.n, "rho": args.rho, "holds": holds},
@@ -162,6 +179,8 @@ def _cmd_padic_ldl(args) -> int:
 
 
 def _cmd_padic_fmt(args) -> int:
+    from . import nevanlinna
+    from .exact import as_fraction
     f = _ratfunc(args)
     report = nevanlinna.check_fmt(f, as_fraction(args.a), args.p, _rat_list(args.rhos))
     payload = {"p": args.p, "a": args.a,
@@ -179,6 +198,7 @@ def _cmd_padic_fmt(args) -> int:
 
 
 def _cmd_padic_smt(args) -> int:
+    from . import nevanlinna
     f = _ratfunc(args)
     report = nevanlinna.check_smt(f, _rat_list(args.targets), args.p,
                                   _rat_list(args.rhos))
@@ -197,6 +217,8 @@ def _cmd_padic_smt(args) -> int:
 
 
 def _cmd_padic_delta(args) -> int:
+    from . import nevanlinna
+    from .exact import as_fraction
     f = _ratfunc(args, "f_num", "f_den")
     u = _ratfunc(args, "u_num", "u_den")
     holds = nevanlinna.delta_identity(f, u, as_fraction(args.a))
@@ -204,15 +226,17 @@ def _cmd_padic_delta(args) -> int:
     return 0
 
 
-def _read_source(path: str) -> reduction.SourceSystem:
+def _read_source(path: str):
+    from .reduction.parser import parse
     with open(path, "r", encoding="utf-8") as handle:
-        return reduction.parse(handle.read())
+        return parse(handle.read())
 
 
 def _cmd_compile(args) -> int:
+    from .reduction import compiler
     system = _read_source(args.infile)
-    target = reduction.compile_system(system, m=args.m)
-    reduction.validate_target(target)
+    target = compiler.compile_system(system, m=args.m)
+    compiler.validate_target(target)
     if args.emit == "json":
         print(target.to_json())
     else:
@@ -221,10 +245,11 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .reduction import compiler
     system = _read_source(args.infile)
-    target = reduction.compile_system(system, m=args.m)
-    reduction.validate_target(target)
-    report = reduction.bounded_equisat(system, target, args.box)
+    target = compiler.compile_system(system, m=args.m)
+    compiler.validate_target(target)
+    report = compiler.bounded_equisat(system, target, args.box)
     payload = {
         "box": report.box,
         "assignments": report.assignments,
@@ -248,9 +273,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_formulas(args) -> int:
+    from .reduction import formulas
+    m = formulas.DEFAULT_M if args.m is None else args.m
     deltas = _rat_list(args.deltas) if args.deltas else None
-    text = reduction.print_formulas(args.mode, m=args.m, deltas=deltas)
-    _emit(args, {"mode": args.mode, "m": args.m, "text": text}, text)
+    text = formulas.print_formulas(args.mode, m=m, deltas=deltas)
+    _emit(args, {"mode": args.mode, "m": m, "text": text}, text)
     return 0
 
 
@@ -370,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("formulas", help="print the defining formulas")
     p.add_argument("--mode", required=True, choices=("F", "G", "H", "Psi"))
-    p.add_argument("--m", type=int, default=reduction.formulas.DEFAULT_M)
+    p.add_argument("--m", type=int)  # default formulas.DEFAULT_M, read when run
     p.add_argument("--deltas", default="")
     _add_json_flag(p)
     p.set_defaults(func=_cmd_formulas)

@@ -27,7 +27,6 @@ import json
 from dataclasses import dataclass, field
 from itertools import product
 
-from .. import sequences
 from .formulas import check_m
 from .lower import LinearEq, eliminate_mul, lower_tac, run_trace
 from .parser import SourceSystem, evaluate
@@ -326,6 +325,7 @@ def bounded_equisat(system: SourceSystem, target: TargetSystem, box: int) -> Equ
 
     nontrivial = 0
     if w_vars:
+        from .. import sequences  # only this certificate needs the search
         found = sequences.search(target.buchi_m, max(w_bound, 1))
         nontrivial = len(found)
     return EquisatReport(box=box,

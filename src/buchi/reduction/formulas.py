@@ -11,8 +11,6 @@ the surface having no unexpected rational points).
 
 from __future__ import annotations
 
-from ..surfaces import BuchiSurface, defining_forms
-
 DEFAULT_M = 35
 # Largest M accepted by compile, check and formulas (resource guard).
 # Their output grows linearly in M (2-vCPU VM, CPython 3.11): at M = 1000
@@ -59,6 +57,7 @@ def _formula_h(m: int) -> str:
 
 
 def _formula_psi(deltas) -> str:
+    from ..surfaces import BuchiSurface, defining_forms  # Psi alone needs them
     if len(deltas) < 2:
         raise ValueError("Psi needs at least two offsets")
     surface = BuchiSurface(deltas)

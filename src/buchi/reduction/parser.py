@@ -50,6 +50,14 @@ MAX_POLY_SIZE = 160_000_000
 # deeper parser call than its parent, so folding, evaluation and lowering,
 # one call per node level, never nest deeper than the parser did.
 MAX_DEPTH = 800
+# Most tokens of one source or polynomial, the end of input not counted
+# (resource guard), refused by tokenize as it reaches them, so before any
+# tree is built.  The slowest admitted shape measured is x = z*z*...*z,
+# two squarings per factor (2-vCPU VM, CPython 3.11): at its 4095 factors
+# compile takes about 0.4 s and check at box 1 about 1 s, where 10**5
+# factors were refused by GADGET_BUDGET only after 2.9 s.  A sum or
+# product of 4000 terms after "x = " has 8001 tokens.
+MAX_TOKENS = 8192
 
 
 class ParseError(ValueError):
@@ -91,6 +99,9 @@ def tokenize(text: str) -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
+        if len(tokens) == MAX_TOKENS:
+            raise ParseError(f"more than {MAX_TOKENS} tokens refused (resource guard)",
+                             line, col)
         if ch in _SYMBOLS:
             tokens.append(Token(_SYMBOLS[ch], ch, line, col))
             i += 1

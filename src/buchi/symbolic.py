@@ -325,6 +325,12 @@ class RatFunc:
     def x(cls) -> "RatFunc":
         return cls(UPoly.x())
 
+    def as_quotient(self) -> tuple[UPoly, UPoly]:
+        """Some (num, den) with self == num/den: the parts as stored, not
+        necessarily coprime, so no gcd runs.  Enough for what is
+        multiplicative, such as a norm."""
+        return self._num, self._den
+
     @property
     def num(self) -> UPoly:
         return self._parts()[0]

@@ -43,7 +43,8 @@ def count_gcd_calls(monkeypatch) -> list:
 
 # Expressions in z of size n, each with the parser calls a unit of n
 # costs as parser.MAX_DEPTH counts them: n nested levels of parentheses
-# or signs, or None for a flat sum or product of n terms, which any n fits.
+# or signs, or None for a flat sum or product of n terms, which MAX_DEPTH
+# does not limit (parser.MAX_TOKENS does).
 DEEP_SHAPES = {
     "parentheses": (4, lambda n: "(" * n + "z" + ")" * n),
     "signs": (1, lambda n: "-" * n + "z"),

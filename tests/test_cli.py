@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -8,7 +11,7 @@ import pytest
 from buchi.cli import main
 from buchi.reduction.compiler import CHECK_WORK_BUDGET, GADGET_BUDGET
 from buchi.reduction.formulas import MAX_M
-from buchi.reduction.parser import MAX_DEPTH, MAX_POLY_DEGREE
+from buchi.reduction.parser import MAX_DEPTH, MAX_POLY_DEGREE, MAX_TOKENS
 from helpers import DEEP_SHAPES, FLAT_LENGTH, dense_poly, mixed_nesting
 
 
@@ -404,7 +407,7 @@ class TestDepthGuard:
     @pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
     def test_inside_and_past_the_limit(self, capsys, tmp_path, shape, command):
         # parentheses and signs at the most levels MAX_DEPTH allows, and
-        # one more; a flat sum or product has no limit
+        # one more; a flat sum or product is not limited by MAX_DEPTH
         cost, deep = DEEP_SHAPES[shape]
         sizes = (((FLAT_LENGTH, False),) if cost is None else
                  ((MAX_DEPTH // cost, False), (MAX_DEPTH // cost + 1, True)))
@@ -417,6 +420,18 @@ class TestDepthGuard:
                 assert code == 1 and out == "" and "(resource guard)" in err
             else:
                 assert code == 0 and out, err
+
+    @pytest.mark.parametrize("command", ["padic", "compile", "check"])
+    def test_token_budget(self, capsys, tmp_path, command):
+        # a product of 10**5 factors is refused as its tokens are read,
+        # before any tree is built
+        assert 2 * 10 ** 5 > MAX_TOKENS
+        argv = _expr_argv(command, "*".join(["z"] * 10 ** 5), tmp_path / "long.dioph")
+        t0 = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - t0 < 1
+        assert code == 1 and out == ""
+        assert f"more than {MAX_TOKENS} tokens refused (resource guard)" in err
 
     @pytest.mark.parametrize("command", ["padic", "compile", "check"])
     def test_mixed_nesting_at_the_limit(self, capsys, tmp_path, command):
@@ -493,3 +508,84 @@ class TestHarness:
                       "--rho", "-1", "--json"]):
             payload = run_json(capsys, *argv)
             assert isinstance(payload, dict)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# Run in a fresh interpreter: the main(argv) given on the command line,
+# then one JSON line [exit code, the buchi modules it loaded, whether it
+# loaded dataclasses].
+LOADED_BY_MAIN = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from buchi.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+loaded = set(sys.modules) - before
+print(json.dumps([code, sorted(m for m in loaded if m.split('.')[0] == 'buchi'),
+                  'dataclasses' in loaded]))
+"""
+
+
+def _fresh_python(code: str, *args: str) -> str:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          capture_output=True, text=True, timeout=60).stdout
+
+
+class TestImportGraph:
+    # One fresh interpreter for each subcommand group: an invocation
+    # loads only the modules its subcommand runs.
+    BASE = ["buchi", "buchi.cli"]
+    PARSER = ["buchi.exact", "buchi.reduction", "buchi.reduction.parser", "buchi.symbolic"]
+    COMPILER = PARSER + ["buchi.reduction.compiler", "buchi.reduction.formulas",
+                         "buchi.reduction.lower"]
+    GROUPS = {
+        "seq": (["seq", "verify", "6,23,32,39"], ["buchi.sequences"]),
+        "surface": (["surface", "scan", "--nodes", "1,2,3,4", "--height", "30"],
+                    ["buchi.exact", "buchi.surfaces", "buchi.symbolic"]),
+        "padic": (["padic", "ldl", "--p", "3", "--num", "z^2", "--rho", "1"],
+                  PARSER + ["buchi.nevanlinna"]),
+        "compile": (["compile", "--in", "{src}"], COMPILER),
+        "check": (["check", "--in", "{src}", "--box", "2"], COMPILER + ["buchi.sequences"]),
+        "formulas": (["formulas", "--mode", "F"],
+                     ["buchi.reduction", "buchi.reduction.formulas"]),
+    }
+
+    @pytest.mark.parametrize("group", sorted(GROUPS))
+    def test_subcommand_loads_only_its_modules(self, tmp_path, group):
+        src = tmp_path / "sys.dioph"
+        src.write_text("x*y = 6; x + y = 5\n")
+        argv, modules = self.GROUPS[group]
+        code, loaded, dataclasses = json.loads(_fresh_python(
+            LOADED_BY_MAIN, *(a.format(src=src) for a in argv)))
+        assert code == 0
+        assert loaded == sorted(self.BASE + modules)
+        if group == "formulas":
+            assert not dataclasses
+
+    def test_import_buchi_loads_no_submodule(self):
+        out = _fresh_python(
+            "import sys, buchi\n"
+            "print(sorted(m for m in sys.modules if m.startswith('buchi')))\n"
+            "print(buchi.nevanlinna.__name__, buchi.__version__)")
+        assert out.splitlines() == ["['buchi']", "buchi.nevanlinna 0.1.0"]
+
+    def test_reduction_names_resolve_without_caching(self, monkeypatch):
+        # a name is looked up in its submodule on every access, so a
+        # function replaced there (as a tracer does) is seen, and restored
+        import buchi
+        import buchi.reduction as reduction
+        from buchi.reduction import compiler, parser
+        original = parser.parse
+        monkeypatch.setattr(parser, "parse", lambda text: None)
+        assert reduction.parse is parser.parse is not original
+        monkeypatch.undo()
+        assert reduction.parse is parser.parse is original
+        assert reduction.compile_system is compiler.compile_system
+        assert all(hasattr(reduction, name) for name in reduction.__all__)
+        assert not set(reduction.__all__) & set(vars(reduction))
+        with pytest.raises(AttributeError):
+            reduction.no_such_name
+        with pytest.raises(AttributeError):
+            buchi.no_such_module

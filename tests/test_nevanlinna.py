@@ -44,6 +44,24 @@ class TestGaussNorm:
         f = RatFunc(UPoly((1, 2)), UPoly.x())
         assert gauss_log_norm(f, 2, 3) == 2 - 3
 
+    def test_ratfunc_norm_needs_no_canonical_form(self, monkeypatch):
+        # unreduced quotients: the norm read off the stored parts, with no
+        # gcd, equals the one of the canonical parts
+        calls = count_gcd_calls(monkeypatch)
+        rng = random.Random(37)
+        for _ in range(250):
+            common = rand_upoly(rng, 3, nonzero=True) * rand_fraction(rng, nonzero=True)
+            num, den = rand_upoly(rng, 5), rand_upoly(rng, 5, nonzero=True)
+            f = RatFunc(common * num, common * den)
+            if f.is_zero:
+                continue
+            p = rng.choice((2, 3, 5, 7))
+            rho = rand_fraction(rng, 6, 3)
+            del calls[:]
+            value = gauss_log_norm(f, p, rho)
+            assert calls == []
+            assert value == gauss_log_norm(f.num, p, rho) - gauss_log_norm(f.den, p, rho)
+
 
 class TestNewtonPolygon:
     def test_factored_example(self):
@@ -201,6 +219,25 @@ class TestLdl:
         assert check_ldl(Z ** 3, LDL_BUDGET, 3, 1)
         with pytest.raises(ValueError, match="resource guard"):
             check_ldl(Z ** 3, LDL_BUDGET + 1, 3, 1)
+
+    def test_gcds_only_for_the_input(self, monkeypatch):
+        # the quotient f^(n)/f is never reduced: check_ldl runs the gcds
+        # of its input's canonical form and no more
+        calls = count_gcd_calls(monkeypatch)
+        rng = random.Random(41)
+        for _ in range(30):
+            common = rand_upoly(rng, 2, nonzero=True)
+            f = RatFunc(common * rand_upoly(rng, 4, nonzero=True),
+                        common * rand_upoly(rng, 4, nonzero=True))
+            del calls[:]
+            RatFunc(*f.as_quotient()).num
+            needed = len(calls)
+            del calls[:]
+            check_ldl(f, rng.randint(1, 3), rng.choice((2, 3, 5)), rng.randint(-3, 3))
+            assert len(calls) == needed == 1
+            del calls[:]
+            check_ldl(f, 1, 3, 0)
+            assert calls == []
 
     def test_randomized(self):
         rng = random.Random(19)

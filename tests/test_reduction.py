@@ -11,8 +11,8 @@ from buchi.reduction import (ParseError, TACProgram, bounded_equisat,
                              evaluate, expand, lower_tac, parse, parse_poly,
                              print_formulas, run_trace, translate_witness,
                              validate_target)
-from buchi.reduction.parser import (MAX_DEPTH, MAX_POLY_DEGREE, Num, Pow,
-                                    Product, Sum, Var)
+from buchi.reduction.parser import (MAX_DEPTH, MAX_POLY_DEGREE, MAX_TOKENS, Num,
+                                    Pow, Product, Sum, Var, tokenize)
 from buchi.surfaces import BuchiSurface, surface_equations
 from buchi.symbolic import UPoly
 from helpers import DEEP_SHAPES, FLAT_LENGTH, dense_poly, mixed_nesting
@@ -125,7 +125,7 @@ class TestParser:
     def test_depth_budget(self):
         # parentheses and signs parse at the most levels MAX_DEPTH allows,
         # and one more is a ParseError, never a RecursionError; a flat sum
-        # or product parses at any length
+        # or product is not limited by MAX_DEPTH
         for cost, deep in DEEP_SHAPES.values():
             if cost is None:
                 assert parse_poly(deep(FLAT_LENGTH)).degree == 1
@@ -139,6 +139,17 @@ class TestParser:
                                  (parse_poly, deep(5 * n))):
                 with pytest.raises(ParseError, match="resource guard"):
                     parser(text)
+
+    def test_token_budget(self):
+        # MAX_TOKENS tokens are read, and blanks and comments after them,
+        # and the next token is refused before any tree is built
+        assert len(tokenize("z+" * (MAX_TOKENS // 2) + " # end\n")) == MAX_TOKENS + 1
+        assert parse_poly("+".join(["z"] * (MAX_TOKENS // 2))) == UPoly((0, MAX_TOKENS // 2))
+        for parser, text in ((tokenize, "z+" * (MAX_TOKENS // 2) + "z"),
+                             (parse_poly, "+".join(["z"] * (MAX_TOKENS // 2 + 1))),
+                             (parse, "x = " + "*".join(["z"] * 10 ** 5))):
+            with pytest.raises(ParseError, match=f"more than {MAX_TOKENS} tokens refused"):
+                parser(text)
 
     def test_mixed_nesting_at_the_limit(self):
         # a power of a sum of products in MAX_DEPTH // 4 parentheses is
