@@ -91,7 +91,10 @@ class _PadicPoly:
     polygon: NewtonPolygon
 
     def log_norm(self, rho: Fraction) -> Fraction:
-        return max(k * rho - v for k, v in self.points)
+        """max(k*rho - v) over the points, in integers: with rho = a/b and
+        b > 0, every term is (k*a - v*b)/b."""
+        a, b = rho.numerator, rho.denominator
+        return Fraction(max(k * a - v * b for k, v in self.points), b)
 
     def height(self, rho: Fraction) -> Fraction:
         total = self.ord0 * rho

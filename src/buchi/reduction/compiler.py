@@ -24,8 +24,10 @@ emitted artifact carries that conditionality in its metadata.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, compress, islice, product
+from operator import not_
 
 from .formulas import check_m
 from .lower import LinearEq, eliminate_mul, lower_tac, run_trace
@@ -33,7 +35,7 @@ from .parser import SourceSystem, evaluate
 
 
 # Largest gadget witness |w| bounded_equisat certifies.  Its certificate
-# sequences.search(5, 2000) takes about 0.03 s (2-vCPU VM, CPython 3.11);
+# sequences.search(5, 2000) takes about 0.05 s (2-vCPU VM, CPython 3.11);
 # the budget is kept so that check accepts and refuses the same inputs.
 W_BOUND_BUDGET = 2000
 # Largest M times squarings compile_system accepts (resource guard): each
@@ -44,8 +46,27 @@ GADGET_BUDGET = 100_000
 # Largest work bounded_equisat accepts (resource guard): assignments times
 # what each one runs through, the source tokens (a bound on the nodes that
 # evaluate visits), the trace steps and the linear and square equations.
-# Box 20 on x*y = z (41**3 * 74 = 5.1 * 10**6) takes about 1.2 s.
+# Box 18 on x*y = z (37**3 * 74 = 3.7 * 10**6), the largest box admitted
+# there, takes about 0.14 s in-process and 0.33 s end to end (2-vCPU VM,
+# CPython 3.11).  Each trace step costs a fixed part per block besides a
+# part per row, so a target too wide for more than one row per block
+# costs more per unit: x = z*z*...*z with 4095 factors (98,246 variables)
+# at box 1 (2.8 * 10**6) takes about 2.1 s in-process.  Every source has
+# at least 4 tokens, the end of input counted, so the budget also caps
+# the assignments at 10**6.
 CHECK_WORK_BUDGET = 4_000_000
+# Largest --box and most source variables bounded_equisat accepts
+# (resource guard).
+MAX_BOX = 50
+MAX_SOURCE_VARS = 4
+# Values (rows times target variables) of one block of assignments, which
+# bounded_equisat runs through the trace together; a block has at least
+# one row.  Larger blocks run faster and take more memory: on
+# tests/golden/cubic.dioph at box 7 (206 variables), 2**12, 2**13, 2**14
+# and 2**16 cells took 0.089, 0.075, 0.066 and 0.057 s in-process, and
+# check peaked at 17.1, 16.7, 16.8 and 17.8 MB RSS (2-vCPU VM, CPython
+# 3.11).
+BLOCK_CELLS = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -68,12 +89,28 @@ class TargetSystem:
     counters: dict = field(default_factory=dict)
 
     def extend(self, assignment: dict[str, int]) -> dict[str, int]:
-        """Forced values of every variable given the source variables."""
-        return run_trace(self.trace, {v: int(assignment[v]) for v in self.source_vars})
+        """Forced values of every variable given the source variables: the
+        trace run on a block of one row."""
+        env = run_trace(self.trace, {v: (int(assignment[v]),) for v in self.source_vars}, 1)
+        return {v: column[0] for v, column in env.items()}
 
     def satisfied(self, env: dict[str, int]) -> bool:
-        return (all(eq.residual(env) == 0 for eq in self.linear)
-                and all(env[sq.lhs] == env[sq.rhs] ** 2 for sq in self.squares))
+        return bool(self.satisfied_rows({v: (x,) for v, x in env.items()}, range(1)))
+
+    def satisfied_rows(self, env: dict[str, Sequence[int]],
+                       rows: Sequence[int]) -> list[int]:
+        """The rows, of rows (ascending indices into env's columns), at
+        which env satisfies every equation.  Each equation is checked only
+        at the rows that satisfy the ones before it; the equalities come
+        first, so after them only solutions are left to check."""
+        for eq in self.linear:
+            if not rows:
+                return []
+            rows = list(compress(rows, map(not_, eq.residual(env, rows))))
+        for sq in self.squares:
+            lhs, rhs = env[sq.lhs], env[sq.rhs]
+            rows = [i for i in rows if lhs[i] == rhs[i] ** 2]
+        return rows
 
     def to_json(self) -> str:
         payload = {
@@ -243,9 +280,8 @@ def translate_witness(system: SourceSystem, target: TargetSystem,
         if v not in witness:
             raise ValueError(f"witness is missing variable {v!r}")
         env[v] = int(witness[v])
-    for eq in system.equations:
-        if evaluate(eq.expr, env) != 0:
-            raise ValueError("witness does not satisfy the source system")
+    if not _solution_rows(system, {v: (x,) for v, x in env.items()}, 1):
+        raise ValueError("witness does not satisfy the source system")
     full = target.extend(env)
     if not target.satisfied(full):
         raise ArithmeticError("internal error: lifted witness fails the target")
@@ -284,22 +320,27 @@ def bounded_equisat(system: SourceSystem, target: TargetSystem, box: int) -> Equ
     """Enumerate all source assignments in [-box, box]^k and check both
     directions of the correspondence at desk scale.  Refuses before
     enumerating when the work exceeds CHECK_WORK_BUDGET, and at once a box
-    where some gadget witness exceeds W_BOUND_BUDGET."""
+    where some gadget witness exceeds W_BOUND_BUDGET.
+
+    The assignments run in product order, in blocks of BLOCK_CELLS values
+    of the target variables: each block is one column per variable, and
+    each equation is checked only at the rows that satisfy the ones
+    before it."""
     if box < 1:
         raise ValueError("box must be >= 1")
-    if box > 50:
-        raise ValueError("box > 50 refused (resource guard)")
+    if box > MAX_BOX:
+        raise ValueError(f"box > {MAX_BOX} refused (resource guard)")
     k = len(system.variables)
-    if k > 4:
-        raise ValueError("more than 4 source variables refused (resource guard)")
-    if (2 * box + 1) ** k > 2_000_000:
-        raise ValueError("assignment box too large for exhaustive search (resource guard)")
+    if k > MAX_SOURCE_VARS:
+        raise ValueError(f"more than {MAX_SOURCE_VARS} source variables refused "
+                         "(resource guard)")
     work = (2 * box + 1) ** k * (system.size + len(target.trace)
                                  + len(target.linear) + len(target.squares))
     if work > CHECK_WORK_BUDGET:
         raise ValueError(f"check of {work} assignment steps > {CHECK_WORK_BUDGET} "
                          "refused (resource guard)")
-    values = range(-box, box + 1)
+    assignments = product(range(-box, box + 1), repeat=k)
+    block_rows = max(1, BLOCK_CELLS // len(target.variables))
     w_vars = [step[1] for step in target.trace if step[0] == "shift"]
     solutions: list[dict[str, int]] = []
     lifted = 0
@@ -307,21 +348,13 @@ def bounded_equisat(system: SourceSystem, target: TargetSystem, box: int) -> Equ
     total = 0
     w_bound = 0
 
-    for combo in product(values, repeat=k):
-        env = dict(zip(system.variables, combo))
-        total += 1
-        sat = all(evaluate(eq.expr, env) == 0 for eq in system.equations)
-        full = target.extend(env)
-        holds = target.satisfied(full)
-        if holds == sat:
-            agreements += 1
-        w_bound = max([w_bound] + [abs(full[w]) for w in w_vars])
-        if w_bound > W_BOUND_BUDGET:
-            raise ValueError(f"gadget witness bound {w_bound} > {W_BOUND_BUDGET} "
-                             "refused (resource guard)")
-        if sat:
-            solutions.append(dict(env))
-            lifted += holds
+    while block := list(islice(assignments, block_rows)):
+        sat, holds, largest_w = _check_block(system, target, block, w_vars)
+        agreements += len(block) - len(set(sat).symmetric_difference(holds))
+        lifted += len(set(sat).intersection(holds))
+        solutions.extend(dict(zip(system.variables, block[i])) for i in sat)
+        total += len(block)
+        w_bound = max(w_bound, largest_w)
 
     nontrivial = 0
     if w_vars:
@@ -336,3 +369,40 @@ def bounded_equisat(system: SourceSystem, target: TargetSystem, box: int) -> Equ
                          solutions=solutions,
                          derived_w_bound=w_bound,
                          nontrivial_gadget_sequences=nontrivial)
+
+
+def _check_block(system: SourceSystem, target: TargetSystem, block: list[tuple],
+                 w_vars: list[str]) -> tuple[list[int], list[int], int]:
+    """For a block of source assignments: the rows that solve the source,
+    the rows whose forced extension satisfies the target, and the largest
+    gadget witness |w|.  A |w| above W_BOUND_BUDGET is refused at the
+    first row that has one, with that row's largest |w|, as a running
+    maximum over the assignments in order would be."""
+    rows = len(block)
+    columns = dict(zip(system.variables, zip(*block)))
+    sat = _solution_rows(system, columns, rows)
+    env = run_trace(target.trace, columns, rows)
+    holds = target.satisfied_rows(env, range(rows))
+    w_columns = [env[w] for w in w_vars]
+    largest = max(map(abs, chain.from_iterable(w_columns)), default=0)
+    if largest > W_BOUND_BUDGET:
+        for row in zip(*w_columns):
+            if max(map(abs, row)) > W_BOUND_BUDGET:
+                raise ValueError(f"gadget witness bound {max(map(abs, row))} > "
+                                 f"{W_BOUND_BUDGET} refused (resource guard)")
+    return sat, holds, largest
+
+
+def _solution_rows(system: SourceSystem, columns: dict[str, Sequence[int]],
+                   rows: int) -> list[int]:
+    """The rows of the block in columns at which every source equation
+    holds.  Each equation is evaluated only at the rows where the ones
+    before it hold, so its powers are refused only at such rows."""
+    alive = list(range(rows))
+    for eq in system.equations:
+        if not alive:
+            break
+        keep = list(map(not_, evaluate(eq.expr, columns, len(alive))))
+        alive = list(compress(alive, keep))
+        columns = {v: tuple(compress(column, keep)) for v, column in columns.items()}
+    return alive

@@ -14,7 +14,10 @@ tuple whose second entry is the variable it assigns,
 
 with c an integer constant.  run_trace is the one interpreter of this
 format; the three-address program, the elimination trace and the
-square gadgets all use it.
+square gadgets all use it.  It runs on columns: each variable holds its
+values at a block of assignments, one per row, and each step is one map
+over its operand columns, so a block of rows costs one pass of the
+interpreter over the trace.  A single assignment is a block of one row.
 
 Three-address form uses the first four step shapes over integer
 variables, plus equality constraints between variables.  A step is read
@@ -44,32 +47,35 @@ The result is linear equations plus constraints q = t**2.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial, reduce
+from itertools import repeat
 from math import prod
+from operator import add, mul, sub
 
 from .parser import (Num, Pow, Product, SourceSystem, Var, bounded,
                      bounded_pow)
 
+_BINARY = {"add": add, "sub": sub, "mul": mul}
 
-def run_trace(steps, env: dict[str, int]) -> dict[str, int]:
-    """Assign every step's destination in order, extending env in place,
-    and return env.  env must hold each variable a step reads that no
-    earlier step assigns."""
+
+def run_trace(steps, env: dict[str, Sequence[int]], rows: int) -> dict[str, Sequence[int]]:
+    """Assign every step's destination column, a tuple of `rows` values,
+    in order, extending env in place, and return env.  env must hold a
+    column of `rows` values for each variable a step reads that no earlier
+    step assigns.  Columns are tuples because the garbage collector stops
+    tracking a tuple of integers, where it would walk a list each time."""
     for step in steps:
-        op = step[0]
+        op, dest = step[0], step[1]
         if op == "const":
-            env[step[1]] = step[2]
-        elif op == "add":
-            env[step[1]] = env[step[2]] + env[step[3]]
-        elif op == "sub":
-            env[step[1]] = env[step[2]] - env[step[3]]
-        elif op == "mul":
-            env[step[1]] = env[step[2]] * env[step[3]]
+            env[dest] = (step[2],) * rows
+        elif op in _BINARY:
+            env[dest] = tuple(map(_BINARY[op], env[step[2]], env[step[3]]))
         elif op == "square":
-            env[step[1]] = env[step[2]] ** 2
+            env[dest] = tuple(map(mul, env[step[2]], env[step[2]]))
         elif op == "shift":
-            env[step[1]] = env[step[2]] + step[3]
+            env[dest] = tuple(map(add, env[step[2]], repeat(step[3])))
         else:
             raise ValueError(f"unknown trace step {op!r}")
     return env
@@ -184,8 +190,16 @@ class LinearEq:
     coeffs: dict[str, int]
     const: int = 0
 
-    def residual(self, env: dict[str, int]) -> int:
-        return sum(c * env[v] for v, c in self.coeffs.items()) + self.const
+    def residual(self, env: dict[str, Sequence[int]], rows: Sequence[int]) -> list[int]:
+        """The residual at each of rows, ascending indices into env's
+        columns: all of them, or the rows still to be checked."""
+        total = [self.const] * len(rows)
+        for v, c in self.coeffs.items():
+            column = env[v]
+            if len(rows) < len(column):
+                column = map(column.__getitem__, rows)
+            total = list(map(add, total, map(mul, repeat(c), column)))
+        return total
 
 
 @dataclass(frozen=True)
@@ -214,7 +228,7 @@ def eliminate_mul(prog: TACProgram) -> IntermediateSystem:
     counter = len(prog.temps)
     variables = list(prog.source_vars) + list(prog.temps)
     # The equalities come first: they are what fails for an assignment
-    # that is not a solution, so TargetSystem.satisfied stops there.
+    # that is not a solution, so TargetSystem.satisfied_rows drops it there.
     linear = [LinearEq({x: 1, y: -1}, 0) for x, y in prog.equalities if x != y]
     squarings: list[Squaring] = []
     trace: list[tuple] = []

@@ -27,7 +27,10 @@ lhs - rhs, read as lhs - rhs = 0.  Positions are 1-based (line, column).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul, sub
 
 from ..symbolic import MPoly, UPoly
 
@@ -54,9 +57,10 @@ MAX_DEPTH = 800
 # (resource guard), refused by tokenize as it reaches them, so before any
 # tree is built.  The slowest admitted shape measured is x = z*z*...*z,
 # two squarings per factor (2-vCPU VM, CPython 3.11): at its 4095 factors
-# compile takes about 0.4 s and check at box 1 about 1 s, where 10**5
-# factors were refused by GADGET_BUDGET only after 2.9 s.  A sum or
-# product of 4000 terms after "x = " has 8001 tokens.
+# compile takes about 0.4 s and check at box 1 about 3 s end to end (see
+# compiler.CHECK_WORK_BUDGET), where 10**5 factors were refused by
+# GADGET_BUDGET only after 2.9 s.  A sum or product of 4000 terms after
+# "x = " has 8001 tokens.
 MAX_TOKENS = 8192
 
 
@@ -294,26 +298,31 @@ def bounded_pow(base: int, k: int) -> int:
     return bounded(base ** k)
 
 
-def evaluate(expr, env) -> int:
-    """Direct AST evaluation over the integers; a power beyond
-    MAX_CONSTANT_BITS bits is refused.  Sums and products grow at most
-    linearly with the text, so they are not checked."""
+def evaluate(expr, env: dict[str, Sequence[int]], rows: int) -> Sequence[int]:
+    """Direct AST evaluation over the integers, on columns: env maps each
+    variable to its values at `rows` assignments, and the result holds
+    expr's value at each.  A power beyond MAX_CONSTANT_BITS bits is
+    refused: |b|**k grows with |b|, so checking the largest |base| of a
+    column refuses exactly when some row would.  Sums and products grow
+    at most linearly with the text, so they are not checked."""
     if isinstance(expr, Num):
-        return expr.value
+        return (expr.value,) * rows
     if isinstance(expr, Var):
         return env[expr.name]
     if isinstance(expr, Sum):
-        total = 0
-        for sign, term in expr.terms:
-            total += evaluate(term, env) if sign > 0 else -evaluate(term, env)
+        total = evaluate(expr.terms[0][1], env, rows)  # the first sign is +1
+        for sign, term in expr.terms[1:]:
+            total = tuple(map(add if sign > 0 else sub, total, evaluate(term, env, rows)))
         return total
     if isinstance(expr, Product):
-        value = 1
-        for factor in expr.factors:
-            value *= evaluate(factor, env)
+        value = evaluate(expr.factors[0], env, rows)
+        for factor in expr.factors[1:]:
+            value = tuple(map(mul, value, evaluate(factor, env, rows)))
         return value
     if isinstance(expr, Pow):
-        return bounded_pow(evaluate(expr.base, env), expr.exponent)
+        base = evaluate(expr.base, env, rows)
+        bounded_pow(max(map(abs, base), default=0), expr.exponent)
+        return tuple(map(pow, base, repeat(expr.exponent)))
     raise TypeError(f"not an expression node: {expr!r}")
 
 

@@ -1,7 +1,11 @@
-"""Shared random generators for the exact-arithmetic test suites."""
+"""Shared random generators and scalar oracles for the test suites."""
 
 from fractions import Fraction
+from itertools import product
 
+from buchi.reduction.compiler import CHECK_WORK_BUDGET, W_BOUND_BUDGET, EquisatReport
+from buchi.reduction.parser import Num, Pow, Product, Sum, Var, bounded_pow
+from buchi.sequences import search
 from buchi.symbolic import RatFunc, UPoly
 
 
@@ -68,3 +72,101 @@ def dense_poly(degree: int) -> str:
     """The dense expansion of a polynomial in z, term by term with
     coefficients other than 1, led by a negative one."""
     return "-" + "+".join(f"{k + 2}*z^{k}" for k in range(degree, -1, -1))
+
+
+# Scalar oracles of the reduction's column kernels, each on one
+# assignment at a time.
+
+def scalar_run_trace(steps, env: dict[str, int]) -> dict[str, int]:
+    """reduction.lower.run_trace on one assignment: env maps each
+    variable to one integer."""
+    for step in steps:
+        op = step[0]
+        if op == "const":
+            env[step[1]] = step[2]
+        elif op == "add":
+            env[step[1]] = env[step[2]] + env[step[3]]
+        elif op == "sub":
+            env[step[1]] = env[step[2]] - env[step[3]]
+        elif op == "mul":
+            env[step[1]] = env[step[2]] * env[step[3]]
+        elif op == "square":
+            env[step[1]] = env[step[2]] ** 2
+        elif op == "shift":
+            env[step[1]] = env[step[2]] + step[3]
+        else:
+            raise ValueError(f"unknown trace step {op!r}")
+    return env
+
+
+def scalar_evaluate(expr, env: dict[str, int]) -> int:
+    """reduction.parser.evaluate on one assignment."""
+    if isinstance(expr, Num):
+        return expr.value
+    if isinstance(expr, Var):
+        return env[expr.name]
+    if isinstance(expr, Sum):
+        total = 0
+        for sign, term in expr.terms:
+            total += scalar_evaluate(term, env) if sign > 0 else -scalar_evaluate(term, env)
+        return total
+    if isinstance(expr, Product):
+        value = 1
+        for factor in expr.factors:
+            value *= scalar_evaluate(factor, env)
+        return value
+    if isinstance(expr, Pow):
+        return bounded_pow(scalar_evaluate(expr.base, env), expr.exponent)
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def scalar_residual(eq, env: dict[str, int]) -> int:
+    """LinearEq.residual at one assignment."""
+    return sum(c * env[v] for v, c in eq.coeffs.items()) + eq.const
+
+
+def scalar_satisfied(target, env: dict[str, int]) -> bool:
+    return (all(scalar_residual(eq, env) == 0 for eq in target.linear)
+            and all(env[sq.lhs] == env[sq.rhs] ** 2 for sq in target.squares))
+
+
+def scalar_bounded_equisat(system, target, box: int) -> EquisatReport:
+    """compiler.bounded_equisat one assignment at a time.  Its guards are
+    literals, and it also refuses more than 2 * 10**6 assignments, which
+    CHECK_WORK_BUDGET implies."""
+    if box < 1:
+        raise ValueError("box must be >= 1")
+    if box > 50:
+        raise ValueError("box > 50 refused (resource guard)")
+    k = len(system.variables)
+    if k > 4:
+        raise ValueError("more than 4 source variables refused (resource guard)")
+    if (2 * box + 1) ** k > 2_000_000:
+        raise ValueError("assignment box too large for exhaustive search (resource guard)")
+    work = (2 * box + 1) ** k * (system.size + len(target.trace)
+                                 + len(target.linear) + len(target.squares))
+    if work > CHECK_WORK_BUDGET:
+        raise ValueError(f"check of {work} assignment steps > {CHECK_WORK_BUDGET} "
+                         "refused (resource guard)")
+    w_vars = [step[1] for step in target.trace if step[0] == "shift"]
+    solutions = []
+    lifted = agreements = total = w_bound = 0
+    for combo in product(range(-box, box + 1), repeat=k):
+        env = dict(zip(system.variables, combo))
+        total += 1
+        sat = all(scalar_evaluate(eq.expr, env) == 0 for eq in system.equations)
+        full = scalar_run_trace(target.trace, dict(env))
+        holds = scalar_satisfied(target, full)
+        if holds == sat:
+            agreements += 1
+        w_bound = max([w_bound] + [abs(full[w]) for w in w_vars])
+        if w_bound > W_BOUND_BUDGET:
+            raise ValueError(f"gadget witness bound {w_bound} > {W_BOUND_BUDGET} "
+                             "refused (resource guard)")
+        if sat:
+            solutions.append(dict(env))
+            lifted += holds
+    nontrivial = len(search(target.buchi_m, max(w_bound, 1))) if w_vars else 0
+    return EquisatReport(box=box, assignments=total, source_solutions=len(solutions),
+                         lifted=lifted, agreements=agreements, solutions=solutions,
+                         derived_w_bound=w_bound, nontrivial_gadget_sequences=nontrivial)

@@ -18,14 +18,14 @@ from buchi.nevanlinna import (INF, check_fmt, check_ldl, check_pjf, check_smt,
                               count_zeros, delta_identity,
                               difference_identity, gauss_log_norm, height_N,
                               newton_polygon)
-from buchi.reduction import (compile_system, evaluate, parse,
-                             translate_witness, validate_target)
+from buchi.reduction import (compile_system, parse, translate_witness,
+                             validate_target)
 from buchi.surfaces import (BuchiSurface, EvaluationNodes, MonicQuadratic,
                             ProjectivePoint, conic_integrality_identity,
                             contains, counterexample_family, f_of_point,
                             j_of_f, jacobian_rank, square_iff_trivial)
 from buchi.symbolic import RatFunc, UPoly
-from helpers import rand_fraction, rand_ratfunc
+from helpers import rand_fraction, rand_ratfunc, scalar_evaluate
 
 
 def report(n: int, message: str, started: float) -> None:
@@ -266,7 +266,7 @@ def test_criterion_11_compiler(capsys):
         k = len(system.variables)
         for combo in product(range(-10, 11), repeat=k):
             env = dict(zip(system.variables, combo))
-            if all(evaluate(eq.expr, env) == 0 for eq in system.equations):
+            if all(scalar_evaluate(eq.expr, env) == 0 for eq in system.equations):
                 translate_witness(system, target, env)
                 lifted_total += 1
     assert lifted_total > 0

@@ -378,6 +378,18 @@ class TestCompileCheck:
         payload = run_json(capsys, "check", "--in", str(src), "--box", "3", "--json")
         assert payload["passed"] is True and payload["assignments"] == 7 ** 3
 
+    def test_check_work_budget_caps_the_assignments(self, capsys, tmp_path):
+        # every source has at least 4 tokens, the end of input counted, so
+        # CHECK_WORK_BUDGET refuses any box of more than 10**6 assignments
+        # and no separate cap on them is needed
+        assert 4 * 10 ** 6 >= CHECK_WORK_BUDGET and 39 ** 4 > 2 * 10 ** 6
+        src = tmp_path / "sys.dioph"
+        src.write_text("a = b + c + d\n")
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "check", "--in", str(src), "--box", "19")
+        assert code == 1 and out == "" and "(resource guard)" in err
+        assert time.monotonic() - t0 < 1
+
     def test_golden_compile_text(self, capsys):
         # a source that mixes signs, nested parentheses, constant products
         # and powers keeps the text the binary-tree parser compiled it to
@@ -385,6 +397,14 @@ class TestCompileCheck:
                              "--m", "3", "--emit", "text")
         assert code == 0, err
         assert out == (GOLDEN / "mixed.m3.txt").read_text(encoding="utf-8")
+
+    def test_golden_check_json(self, capsys):
+        # a cubic system of the benchmark's shape keeps the report the
+        # check printed one assignment at a time
+        code, out, err = run(capsys, "check", "--in", str(GOLDEN / "cubic.dioph"),
+                             "--box", "7", "--json")
+        assert code == 0, err
+        assert out == (GOLDEN / "cubic.box7.json").read_text(encoding="utf-8")
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         src = tmp_path / "sys.dioph"

@@ -8,6 +8,7 @@ from buchi.nevanlinna import (INF, LDL_BUDGET, NewtonSegment, check_fmt,
                               check_ldl, check_pjf, check_smt, count_zeros,
                               delta_identity, difference_identity,
                               gauss_log_norm, height_N, newton_polygon, prox_m)
+from buchi.nevanlinna import _padic
 from buchi.symbolic import RatFunc, UPoly
 from helpers import count_gcd_calls, rand_fraction, rand_ratfunc, rand_upoly
 
@@ -39,6 +40,20 @@ class TestGaussNorm:
             rho = rand_fraction(rng, 6, 3)
             assert gauss_log_norm(h * k, p, rho) == \
                 gauss_log_norm(h, p, rho) + gauss_log_norm(k, p, rho)
+
+    def test_integer_log_norm_matches_fraction_oracle(self):
+        # max(k*a - v*b)/b against max(k*rho - v) in Fraction arithmetic,
+        # with negative valuations and radii that are negative, zero,
+        # integers, or given as unreduced quotients
+        rng = random.Random(47)
+        radii = [0, -3, 5, Fraction(4, 6), Fraction(-9, 6), Fraction(10, -4)]
+        for _ in range(300):
+            coeffs = [rand_fraction(rng, 60, 60) for _ in range(rng.randint(1, 8))]
+            h = UPoly(coeffs + [rand_fraction(rng, 60, 60, nonzero=True)])
+            padic = _padic(h, rng.choice((2, 3, 5, 7)))
+            for rho in radii + [rand_fraction(rng, 40, 12) for _ in range(4)]:
+                rho = Fraction(rho)
+                assert padic.log_norm(rho) == max(k * rho - v for k, v in padic.points)
 
     def test_ratfunc_norm_subtracts(self):
         f = RatFunc(UPoly((1, 2)), UPoly.x())

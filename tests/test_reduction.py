@@ -11,11 +11,13 @@ from buchi.reduction import (ParseError, TACProgram, bounded_equisat,
                              evaluate, expand, lower_tac, parse, parse_poly,
                              print_formulas, run_trace, translate_witness,
                              validate_target)
+from buchi.reduction.compiler import BLOCK_CELLS
 from buchi.reduction.parser import (MAX_DEPTH, MAX_POLY_DEGREE, MAX_TOKENS, Num,
                                     Pow, Product, Sum, Var, tokenize)
 from buchi.surfaces import BuchiSurface, surface_equations
 from buchi.symbolic import UPoly
-from helpers import DEEP_SHAPES, FLAT_LENGTH, dense_poly, mixed_nesting
+from helpers import (DEEP_SHAPES, FLAT_LENGTH, dense_poly, mixed_nesting,
+                     scalar_bounded_equisat, scalar_residual, scalar_run_trace)
 
 
 class TestParser:
@@ -55,9 +57,10 @@ class TestParser:
         rng = random.Random(3)
         from buchi.reduction import expand
         poly = expand(system.equations[0].expr, system.variables)
-        for _ in range(50):
-            env = {v: rng.randint(-8, 8) for v in system.variables}
-            assert evaluate(system.equations[0].expr, env) == poly(**env)
+        envs = [{v: rng.randint(-8, 8) for v in system.variables} for _ in range(50)]
+        columns = {v: [env[v] for env in envs] for v in system.variables}
+        assert evaluate(system.equations[0].expr, columns, 50) == \
+            tuple(poly(**env) for env in envs)
 
     def test_parse_poly(self):
         assert parse_poly("1+2*z") == UPoly((1, 2))
@@ -105,9 +108,10 @@ class TestParser:
             with pytest.raises(ValueError, match="resource guard"):
                 lower_tac(parse(text))
         assert evaluate(parse("x = (y^4096)^3").equations[0].expr.terms[1][1],
-                        {"y": 2}) == 2 ** 12288
+                        {"y": (2, 0, -1)}, 3) == (2 ** 12288, 0, 1)
         with pytest.raises(ValueError, match="resource guard"):
-            evaluate(parse("x = (y^4096)^4096").equations[0].expr.terms[1][1], {"y": 2})
+            evaluate(parse("x = (y^4096)^4096").equations[0].expr.terms[1][1],
+                     {"y": (1, 2, 0)}, 3)
         with pytest.raises(ValueError, match="resource guard"):
             parse_poly("(9^4096)^4096")
         with pytest.raises(ValueError, match="resource guard"):
@@ -157,7 +161,7 @@ class TestParser:
         text = mixed_nesting(MAX_DEPTH // 4)
         assert parse_poly(text).degree == 1
         system = parse(f"x = {text}")
-        assert evaluate(system.equations[0].expr, {"x": 1, "z": 1}) == 2 - 2 ** 201
+        assert evaluate(system.equations[0].expr, {"x": (1,), "z": (1,)}, 1) == (2 - 2 ** 201,)
         assert expand(system.equations[0].expr, system.variables).terms
         validate_target(compile_system(system, m=5))
         with pytest.raises(ParseError, match="resource guard"):
@@ -199,11 +203,13 @@ class TestLowering:
         system = parse("3*x^2 - 2*x*y + 5 = y + 1; x + y = 7")
         prog = lower_tac(system)
         rng = random.Random(5)
-        for _ in range(300):
-            env = {v: rng.randint(-10, 10) for v in system.variables}
-            source_sat = all(evaluate(eq.expr, env) == 0 for eq in system.equations)
-            full = run_trace(prog.instrs, dict(env))
-            assert all(full[a] == full[b] for a, b in prog.equalities) == source_sat
+        rows = 300
+        columns = {v: [rng.randint(-10, 10) for _ in range(rows)] for v in system.variables}
+        values = [evaluate(eq.expr, columns, rows) for eq in system.equations]
+        source_sat = [not any(row) for row in zip(*values)]
+        full = run_trace(prog.instrs, dict(columns), rows)
+        assert [all(full[a][i] == full[b][i] for a, b in prog.equalities)
+                for i in range(rows)] == source_sat
 
     def test_random_systems_keep_solutions(self):
         # Nested sums and powers, negated factors, zero and negative
@@ -220,12 +226,17 @@ class TestLowering:
             prog = lower_tac(system)
             target = compile_system(system, m=3)
             validate_target(target)
-            for combo in product(range(-2, 3), repeat=len(system.variables)):
+            box = list(product(range(-2, 3), repeat=len(system.variables)))
+            rows = len(box)
+            columns = dict(zip(system.variables, map(list, zip(*box))))
+            values = [evaluate(eq.expr, columns, rows) for eq in system.equations]
+            sat = [not any(row) for row in zip(*values)]
+            full = run_trace(prog.instrs, dict(columns), rows)
+            assert [all(full[x][i] == full[y][i] for x, y in prog.equalities)
+                    for i in range(rows)] == sat, eqs
+            for combo, expected in zip(box, sat):
                 env = dict(zip(system.variables, combo))
-                sat = all(evaluate(eq.expr, env) == 0 for eq in system.equations)
-                full = run_trace(prog.instrs, dict(env))
-                assert all(full[x] == full[y] for x, y in prog.equalities) == sat, eqs
-                assert target.satisfied(target.extend(env)) == sat, eqs
+                assert target.satisfied(target.extend(env)) == expected, eqs
 
     def test_equal_subterms_share_one_temporary(self):
         prog = lower_tac(parse("x = (a+b)*(a+b) + (b+a)^2"))
@@ -244,13 +255,30 @@ class TestRunTrace:
     def test_each_op(self):
         steps = (("const", "c", 4), ("add", "s", "x", "c"), ("mul", "m", "s", "x"),
                  ("square", "q", "m"), ("shift", "w", "q", -3), ("sub", "n", "c", "w"))
-        env = {"x": 2}
-        assert run_trace(steps, env) is env
-        assert env == {"x": 2, "c": 4, "s": 6, "m": 12, "q": 144, "w": 141, "n": -137}
+        env = {"x": (2, -1)}
+        assert run_trace(steps, env, 2) is env
+        assert env == {"x": (2, -1), "c": (4, 4), "s": (6, 3), "m": (12, -3),
+                       "q": (144, 9), "w": (141, 6), "n": (-137, -2)}
+        assert run_trace((("const", "c", 7),), {}, 3) == {"c": (7, 7, 7)}
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError, match="unknown trace step 'neg'"):
-            run_trace((("neg", "y", "x"),), {"x": 1})
+            run_trace((("neg", "y", "x"),), {"x": (1,)}, 1)
+
+    def test_matches_scalar_oracle(self):
+        # each row of a block is what the trace gives that assignment alone
+        rng = random.Random(61)
+        for _ in range(60):
+            target = compile_system(parse(rand_system_text(rng, max_vars=4)),
+                                    m=rng.choice((3, 5)))
+            rows = rng.randint(1, 9)
+            envs = [{v: rng.randint(-7, 7) for v in target.source_vars} for _ in range(rows)]
+            columns = run_trace(target.trace, {v: [env[v] for env in envs]
+                                               for v in target.source_vars}, rows)
+            for i, env in enumerate(envs):
+                expected = scalar_run_trace(target.trace, dict(env))
+                assert {v: column[i] for v, column in columns.items()} == expected
+                assert target.extend(env) == expected
 
 
 class TestEliminateMul:
@@ -262,7 +290,7 @@ class TestEliminateMul:
                           equalities=())
         inter = eliminate_mul(prog)
         assert len(inter.squarings) == 3  # s, a and b each get one square
-        env = run_trace(inter.trace, {})
+        env = scalar_run_trace(inter.trace, {})
         s = next(t for t in inter.trace if t[0] == "add")[1]
         assert env[s] == 8
         squares = {t: q for (op, q, t) in
@@ -271,7 +299,7 @@ class TestEliminateMul:
         assert env[squares["_t0"]] == 9 and env[squares["_t1"]] == 25
         assert 64 == 9 + 25 + 2 * env["_t2"]
         for eq in inter.linear:
-            assert eq.residual(env) == 0
+            assert scalar_residual(eq, env) == 0
 
     def test_square_collapse(self):
         inter = eliminate_mul(lower_tac(parse("x*x = 4")))
@@ -304,30 +332,34 @@ class TestEncodeSquare:
 
     def test_canonical_witness(self):
         block = encode_square("t", "q", 5)
-        env = run_trace(block.trace, {"t": 3, "q": 9})
+        env = scalar_run_trace(block.trace, {"t": 3, "q": 9})
         us = [env[f"u{i}"] for i in range(1, 6)]
         ws = [env[f"w{i}"] for i in range(1, 6)]
         assert us == [9, 16, 25, 36, 49]
         assert ws == [3, 4, 5, 6, 7]
         assert us[1] - us[0] == 2 * 3 + 1
         for eq in block.linear:
-            assert eq.residual(env) == 0
+            assert scalar_residual(eq, env) == 0
         for sq in block.squares:
             assert env[sq.lhs] == env[sq.rhs] ** 2
 
     def test_zero_witness(self):
         block = encode_square("t", "q", 5)
-        env = run_trace(block.trace, {"t": 0, "q": 0})
+        env = scalar_run_trace(block.trace, {"t": 0, "q": 0})
         assert [env[f"u{i}"] for i in range(1, 6)] == [0, 1, 4, 9, 16]
-        assert all(eq.residual(env) == 0 for eq in block.linear)
+        assert all(scalar_residual(eq, env) == 0 for eq in block.linear)
 
     def test_gadget_correctness_many_t(self):
         for m in (3, 4, 5, 8):
             block = encode_square("t", "q", m)
-            for t in range(-30, 31):
-                env = run_trace(block.trace, {"t": t, "q": t * t})
-                assert all(eq.residual(env) == 0 for eq in block.linear)
-                assert all(env[sq.lhs] == env[sq.rhs] ** 2 for sq in block.squares)
+            ts = list(range(-30, 31))
+            env = run_trace(block.trace, {"t": ts, "q": [t * t for t in ts]}, len(ts))
+            every, odd = list(range(len(ts))), list(range(1, len(ts), 2))
+            for eq in block.linear:
+                assert eq.residual(env, every) == [0] * len(every)
+                assert eq.residual(env, odd) == [0] * len(odd)
+            for sq in block.squares:
+                assert env[sq.lhs] == tuple(w * w for w in env[sq.rhs])
 
     def test_backward_direction_exhaustive_m5(self):
         # Every gadget solution with |w_i| <= 40 forces q = t**2: with no
@@ -426,8 +458,8 @@ def rand_expr(rng, names: list[str], depth: int) -> str:
     return f"({a})^{rng.randint(0, 4)}"
 
 
-def rand_system_text(rng) -> str:
-    names = ["x", "y", "z"][:rng.randint(1, 3)]
+def rand_system_text(rng, max_vars: int = 3) -> str:
+    names = ["x", "y", "z", "w"][:rng.randint(1, max_vars)]
     eqs = []
     for _ in range(rng.randint(1, 3)):
         terms = []
@@ -478,6 +510,82 @@ class TestWitness:
             assert report.passed
             checked += report.source_solutions
         assert checked > 0
+
+
+def _equisat_outcome(check, system, target, box):
+    """The report's fields, or the message check refused with."""
+    try:
+        return vars(check(system, target, box))
+    except ValueError as err:
+        return str(err)
+
+
+class TestBlockEquisat:
+    """bounded_equisat on blocks of assignments against the scalar oracle,
+    which checks one assignment at a time."""
+
+    def agree(self, text: str, m: int, box: int):
+        system = parse(text)
+        target = compile_system(system, m=m)
+        block = _equisat_outcome(bounded_equisat, system, target, box)
+        assert block == _equisat_outcome(scalar_bounded_equisat, system, target, box), text
+        return block, target
+
+    def test_random_systems(self):
+        rng = random.Random(1107)
+        boxes = {0: 7, 1: 7, 2: 7, 3: 4, 4: 2}  # the oracle's time bounds the box
+        found = multiblock = 0
+        for _ in range(120):
+            text = rand_system_text(rng, max_vars=4)
+            box = rng.randint(1, boxes[len(parse(text).variables)])
+            report, target = self.agree(text, rng.choice((3, 5)), box)
+            found += report["source_solutions"]
+            multiblock += report["assignments"] > BLOCK_CELLS // len(target.variables)
+        assert found > 0 and multiblock >= 10
+
+    def test_block_size_does_not_divide_the_assignments(self):
+        report, target = self.agree("x*y = 6; x + y = 5", 5, 10)
+        rows = BLOCK_CELLS // len(target.variables)
+        assert report["assignments"] % rows != 0 and report["assignments"] > rows
+        assert report["source_solutions"] == 2
+
+    def test_one_row_blocks(self):
+        text = "x = " + "+".join(f"(a+{i})^2" for i in range(1, 11))
+        report, target = self.agree(text, 1000, 1)
+        assert BLOCK_CELLS // len(target.variables) == 0
+        assert report["assignments"] == 9
+
+    def test_witness_bound_refusal(self):
+        # the first row, a = b = -3, already has a witness above the
+        # budget, and later rows have larger ones: the refusal names the
+        # first row's
+        report, _ = self.agree("x = (a+b+10)^12", 5, 3)
+        assert report.startswith("gadget witness bound ") and "(resource guard)" in report
+
+    def test_constant_refusal_only_where_the_first_equation_holds(self):
+        # the power's base is 0 unless a = 2, and only there is the second
+        # equation evaluated: at a = 2, b = -2 its base is -48, whose
+        # 4096th power has more than MAX_CONSTANT_BITS bits
+        text = "a = 2; (b*(a+2)*(a+1)*a*(a-1))^4096 = 0"
+        report, _ = self.agree(text, 5, 2)
+        assert report.startswith("integer power of more than")
+        # at box 1 no row has a = 2, and nothing is refused
+        report, _ = self.agree(text, 5, 1)
+        assert report["source_solutions"] == 0
+        # b^4096 overflows at the first row, b = -16, but a = 16 fails
+        # there, so the trace's witness bound refuses it first, as one
+        # assignment at a time does
+        report, _ = self.agree("a = 16; b^4096 = 0", 5, 16)
+        assert report.startswith("gadget witness bound ")
+
+    def test_guards_refuse_on_both_sides(self):
+        for text, box in (("x = 1", 51), ("a + b + c + d + e = 0", 1),
+                          ("a + b = c + d", 19), ("x*y = z", 19)):
+            system = parse(text)
+            target = compile_system(system)
+            for check in (bounded_equisat, scalar_bounded_equisat):
+                with pytest.raises(ValueError, match="resource guard"):
+                    check(system, target, box)
 
 
 class TestEquisatGuards:
