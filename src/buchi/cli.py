@@ -14,17 +14,31 @@ import argparse
 import json
 import sys
 
+from . import guard
+
 # Each handler imports the modules it runs, so that an invocation loads
 # only those of its subcommand.
 
+# Longest number, in characters, of a list argument, --rho or --a: an output
+# multiplies at most about three, short of CPython's 4300-digit str() limit.
+MAX_ARG_DIGITS = 1000
+
+
+def _rat(text: str):
+    from .exact import as_fraction
+    guard("MAX_ARG_DIGITS", len(text), MAX_ARG_DIGITS, "characters of a number")
+    return as_fraction(text)
+
 
 def _rat_list(text: str) -> list:
-    from .exact import as_fraction
-    return [as_fraction(part) for part in text.split(",") if part != ""]
+    return [_rat(part) for part in text.split(",") if part != ""]
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part != ""]
+    parts = [part for part in text.split(",") if part != ""]
+    guard("MAX_ARG_DIGITS", max(map(len, parts), default=0), MAX_ARG_DIGITS,
+          "characters of a number")
+    return [int(part) for part in parts]
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -135,20 +149,18 @@ def _cmd_surface_family(args) -> int:
 
 def _cmd_padic_norm(args) -> int:
     from . import nevanlinna
-    from .exact import as_fraction
     from .reduction.parser import parse_poly
     poly = parse_poly(args.poly)
-    value = nevanlinna.gauss_log_norm(poly, args.p, as_fraction(args.rho))
+    value = nevanlinna.gauss_log_norm(poly, args.p, _rat(args.rho))
     _emit(args, {"p": args.p, "rho": args.rho, "log_norm": str(value)}, str(value))
     return 0
 
 
 def _cmd_padic_zeros(args) -> int:
     from . import nevanlinna
-    from .exact import as_fraction
     from .reduction.parser import parse_poly
     poly = parse_poly(args.poly)
-    rho = as_fraction(args.rho)
+    rho = _rat(args.rho)
     polygon = nevanlinna.newton_polygon(poly, args.p)
     count = nevanlinna.count_zeros(poly, args.p, rho)
     payload = {"p": args.p, "rho": args.rho, "count": count,
@@ -170,9 +182,8 @@ def _cmd_padic_pjf(args) -> int:
 
 def _cmd_padic_ldl(args) -> int:
     from . import nevanlinna
-    from .exact import as_fraction
     f = _ratfunc(args)
-    holds = nevanlinna.check_ldl(f, args.n, args.p, as_fraction(args.rho))
+    holds = nevanlinna.check_ldl(f, args.n, args.p, _rat(args.rho))
     _emit(args, {"p": args.p, "n": args.n, "rho": args.rho, "holds": holds},
           f"ldl: {'true' if holds else 'false'}")
     return 0
@@ -180,9 +191,8 @@ def _cmd_padic_ldl(args) -> int:
 
 def _cmd_padic_fmt(args) -> int:
     from . import nevanlinna
-    from .exact import as_fraction
     f = _ratfunc(args)
-    report = nevanlinna.check_fmt(f, as_fraction(args.a), args.p, _rat_list(args.rhos))
+    report = nevanlinna.check_fmt(f, _rat(args.a), args.p, _rat_list(args.rhos))
     payload = {"p": args.p, "a": args.a,
                "grid": [str(r) for r in report.grid],
                "defects": [str(v) for v in report.values],
@@ -218,10 +228,9 @@ def _cmd_padic_smt(args) -> int:
 
 def _cmd_padic_delta(args) -> int:
     from . import nevanlinna
-    from .exact import as_fraction
     f = _ratfunc(args, "f_num", "f_den")
     u = _ratfunc(args, "u_num", "u_den")
-    holds = nevanlinna.delta_identity(f, u, as_fraction(args.a))
+    holds = nevanlinna.delta_identity(f, u, _rat(args.a))
     _emit(args, {"holds": holds}, f"delta identity: {'true' if holds else 'false'}")
     return 0
 

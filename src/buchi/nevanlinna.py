@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from . import guard
 from .exact import as_fraction, valuation
 from .symbolic import RatFunc, UPoly
 
@@ -145,12 +146,10 @@ QUOTIENT_GCD_BUDGET = 150_000
 
 
 def quotient(num: UPoly, den: UPoly) -> RatFunc:
-    """num/den, refused (resource guard) before its canonicalizing gcd,
+    """num/den, refused by a resource guard before its canonicalizing gcd,
     run on first read, when min(deg)*max(deg)*bits > QUOTIENT_GCD_BUDGET."""
     cost = min(num.degree, den.degree) * max(num.degree, den.degree) * _bits(num, den)
-    if cost > QUOTIENT_GCD_BUDGET:
-        raise ValueError(f"quotient gcd size {cost} > {QUOTIENT_GCD_BUDGET} refused "
-                         "(resource guard)")
+    guard("QUOTIENT_GCD_BUDGET", cost, QUOTIENT_GCD_BUDGET, "quotient gcd size")
     return RatFunc(num, den)
 
 
@@ -261,9 +260,7 @@ def check_ldl(f, n: int, p: int, rho) -> bool:
         raise ValueError("derivative order must be >= 1")
     f = _as_ratfunc(f)
     cost = n * max(1, f.den.degree)
-    if cost > LDL_BUDGET:
-        raise ValueError(f"n * max(1, deg den) = {cost} > {LDL_BUDGET} refused "
-                         "(resource guard)")
+    guard("LDL_BUDGET", cost, LDL_BUDGET, "n * max(1, deg den)")
     if f.is_zero:
         raise ValueError("zero function")
     fn = f.derivative(n)
@@ -412,9 +409,7 @@ def delta_identity(f, u, a) -> bool:
                      u.num.degree + f.den.degree)
     bits = _bits(f.num, f.den, u.num, u.den)
     cost = (half_deg_g + 4 * e) ** 2 * isqrt((bits + 10) ** 3)
-    if cost > DELTA_SIZE_BUDGET:
-        raise ValueError(f"delta input of cost {cost} > {DELTA_SIZE_BUDGET} refused "
-                         "(resource guard)")
+    guard("DELTA_SIZE_BUDGET", cost, DELTA_SIZE_BUDGET, "delta input cost")
     g = (f + a) ** 2 - u ** 2
     fp = f.derivative()
     up = u.derivative()

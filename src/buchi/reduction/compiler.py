@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, islice, product
 from operator import not_
 
+from .. import guard
 from .formulas import check_m
 from .lower import LinearEq, eliminate_mul, lower_tac, run_trace
 from .parser import SourceSystem, evaluate
@@ -38,25 +39,25 @@ from .parser import SourceSystem, evaluate
 # sequences.search(5, 2000) takes about 0.05 s (2-vCPU VM, CPython 3.11);
 # the budget is kept so that check accepts and refuses the same inputs.
 W_BOUND_BUDGET = 2000
-# Largest M times squarings compile_system accepts (resource guard): each
+# Largest M times squarings compile_system accepts: each
 # squaring becomes a gadget of M square witnesses, so the target grows as
 # their product.  At 10**5, x = (a+1)^2+...+(a+100)^2 at M = 1000, compile
 # prints 8.9 MB in about 1 s (2-vCPU VM, CPython 3.11).
 GADGET_BUDGET = 100_000
-# Largest work bounded_equisat accepts (resource guard): assignments times
-# what each one runs through, the source tokens (a bound on the nodes that
-# evaluate visits), the trace steps and the linear and square equations.
-# Box 18 on x*y = z (37**3 * 74 = 3.7 * 10**6), the largest box admitted
-# there, takes about 0.14 s in-process and 0.33 s end to end (2-vCPU VM,
-# CPython 3.11).  Each trace step costs a fixed part per block besides a
-# part per row, so a target too wide for more than one row per block
-# costs more per unit: x = z*z*...*z with 4095 factors (98,246 variables)
-# at box 1 (2.8 * 10**6) takes about 2.1 s in-process.  Every source has
-# at least 4 tokens, the end of input counted, so the budget also caps
-# the assignments at 10**6.
+# Largest work bounded_equisat accepts: the units each assignment runs
+# through (source tokens, a bound on the nodes evaluate visits, trace
+# steps, linear and square equations) times the assignments plus
+# BLOCK_COST per block of them, for the fixed part a block costs each
+# unit: measured, 14 rows on x*y = z and 20 on a target of one row per
+# block, where x = z*z*...*z (4095 factors) took 2.2 s at box 1.  Box 18
+# on x*y = z ((50,653 + 8 * 236) * 74 = 3.9 * 10**6) takes 0.2 s
+# in-process, x = (a+1)^2+...+(a+10)^2 at M = 1000 and box 1 0.36 s, and
+# one row per block at most about 0.5 s (2-vCPU VM, CPython 3.11).  Every
+# source has at least 4 tokens, the end of input counted, so the budget
+# also caps the assignments at 10**6.
 CHECK_WORK_BUDGET = 4_000_000
-# Largest --box and most source variables bounded_equisat accepts
-# (resource guard).
+BLOCK_COST = 8
+# Largest --box and most source variables bounded_equisat accepts.
 MAX_BOX = 50
 MAX_SOURCE_VARS = 4
 # Values (rows times target variables) of one block of assignments, which
@@ -193,9 +194,7 @@ def compile_system(system: SourceSystem, m: int = 5) -> TargetSystem:
     """
     check_m(m)
     inter = eliminate_mul(lower_tac(system))
-    if m * len(inter.squarings) > GADGET_BUDGET:
-        raise ValueError(f"M = {m} times {len(inter.squarings)} squarings > "
-                         f"{GADGET_BUDGET} refused (resource guard)")
+    guard("GADGET_BUDGET", m * len(inter.squarings), GADGET_BUDGET, "M * squarings")
     variables = list(inter.variables)
     linear = list(inter.linear)
     squares: list[SquareEq] = []
@@ -328,19 +327,15 @@ def bounded_equisat(system: SourceSystem, target: TargetSystem, box: int) -> Equ
     before it."""
     if box < 1:
         raise ValueError("box must be >= 1")
-    if box > MAX_BOX:
-        raise ValueError(f"box > {MAX_BOX} refused (resource guard)")
+    guard("MAX_BOX", box, MAX_BOX, "box")
     k = len(system.variables)
-    if k > MAX_SOURCE_VARS:
-        raise ValueError(f"more than {MAX_SOURCE_VARS} source variables refused "
-                         "(resource guard)")
-    work = (2 * box + 1) ** k * (system.size + len(target.trace)
-                                 + len(target.linear) + len(target.squares))
-    if work > CHECK_WORK_BUDGET:
-        raise ValueError(f"check of {work} assignment steps > {CHECK_WORK_BUDGET} "
-                         "refused (resource guard)")
-    assignments = product(range(-box, box + 1), repeat=k)
+    guard("MAX_SOURCE_VARS", k, MAX_SOURCE_VARS, "source variables")
     block_rows = max(1, BLOCK_CELLS // len(target.variables))
+    count = (2 * box + 1) ** k
+    work = (count + BLOCK_COST * -(-count // block_rows)) * (
+        system.size + len(target.trace) + len(target.linear) + len(target.squares))
+    guard("CHECK_WORK_BUDGET", work, CHECK_WORK_BUDGET, "check work")
+    assignments = product(range(-box, box + 1), repeat=k)
     w_vars = [step[1] for step in target.trace if step[0] == "shift"]
     solutions: list[dict[str, int]] = []
     lifted = 0
@@ -387,9 +382,7 @@ def _check_block(system: SourceSystem, target: TargetSystem, block: list[tuple],
     largest = max(map(abs, chain.from_iterable(w_columns)), default=0)
     if largest > W_BOUND_BUDGET:
         for row in zip(*w_columns):
-            if max(map(abs, row)) > W_BOUND_BUDGET:
-                raise ValueError(f"gadget witness bound {max(map(abs, row))} > "
-                                 f"{W_BOUND_BUDGET} refused (resource guard)")
+            guard("W_BOUND_BUDGET", max(map(abs, row)), W_BOUND_BUDGET, "gadget witness bound")
     return sat, holds, largest
 
 

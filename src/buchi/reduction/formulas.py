@@ -11,6 +11,8 @@ the surface having no unexpected rational points).
 
 from __future__ import annotations
 
+from .. import guard
+
 DEFAULT_M = 35
 # Largest M accepted by compile, check and formulas (resource guard).
 # Their output grows linearly in M (2-vCPU VM, CPython 3.11): at M = 1000
@@ -21,11 +23,10 @@ MAX_M = 1000
 
 
 def check_m(m: int) -> None:
-    """Refuse M below 3, and above MAX_M (resource guard)."""
+    """Refuse M below 3, and above MAX_M, a resource guard."""
     if m < 3:
         raise ValueError("M must be >= 3")
-    if m > MAX_M:
-        raise ValueError(f"M = {m} > {MAX_M} refused (resource guard)")
+    guard("MAX_M", m, MAX_M, "M")
 
 
 def _formula_f(m: int) -> str:

@@ -29,7 +29,7 @@ Both sides of each equation are lowered by one walk over the syntax
 tree, so the program grows with the input text, not with the monomials of
 the expanded polynomial.  Steps are hash-consed (equal subterms share one
 temporary) and subterms without variables fold to integers, refused
-(resource guard) beyond parser.MAX_CONSTANT_BITS.  A sum is a chain of
+beyond parser.MAX_CONSTANT_BITS.  A sum is a chain of
 add and sub steps over its terms, left to right.  A power is
 square-and-multiply; a product multiplies its variable factors and
 applies its constant factor (its integer factors and signs) last by a

@@ -32,12 +32,13 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mul, sub
 
+from .. import guard
 from ..symbolic import MPoly, UPoly
 
 MAX_EXPONENT = 4096
-# Largest integer, in bits, that folding or evaluation builds: the target
-# prints its constants in decimal, and CPython prints at most 4300 digits
-# (about 14,284 bits) by default.
+# Largest integer, in bits, of a literal or of what folding or evaluation
+# builds: the target prints its constants in decimal, and CPython converts
+# at most 4300 digits (about 14,284 bits) between int and str by default.
 MAX_CONSTANT_BITS = 14_000
 # parse_poly expands on integer coefficients, and schoolbook products
 # make its cost grow about as degree**2 * bits, with the degree bound and
@@ -53,14 +54,13 @@ MAX_POLY_SIZE = 160_000_000
 # deeper parser call than its parent, so folding, evaluation and lowering,
 # one call per node level, never nest deeper than the parser did.
 MAX_DEPTH = 800
-# Most tokens of one source or polynomial, the end of input not counted
-# (resource guard), refused by tokenize as it reaches them, so before any
-# tree is built.  The slowest admitted shape measured is x = z*z*...*z,
-# two squarings per factor (2-vCPU VM, CPython 3.11): at its 4095 factors
-# compile takes about 0.4 s and check at box 1 about 3 s end to end (see
-# compiler.CHECK_WORK_BUDGET), where 10**5 factors were refused by
-# GADGET_BUDGET only after 2.9 s.  A sum or product of 4000 terms after
-# "x = " has 8001 tokens.
+# Most tokens of one source or polynomial, the end of input not counted,
+# refused by tokenize as it reaches them, so before any tree is built.
+# The slowest admitted shape measured is x = z*z*...*z, two squarings per
+# factor (2-vCPU VM, CPython 3.11): at its 4095 factors compile takes
+# about 0.4 s (compiler.CHECK_WORK_BUDGET refuses its check), where 10**5
+# factors were refused by GADGET_BUDGET only after 2.9 s.  A sum or
+# product of 4000 terms after "x = " has 8001 tokens.
 MAX_TOKENS = 8192
 
 
@@ -103,9 +103,7 @@ def tokenize(text: str) -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if len(tokens) == MAX_TOKENS:
-            raise ParseError(f"more than {MAX_TOKENS} tokens refused (resource guard)",
-                             line, col)
+        guard("MAX_TOKENS", len(tokens) + 1, MAX_TOKENS, "tokens", ParseError, line, col)
         if ch in _SYMBOLS:
             tokens.append(Token(_SYMBOLS[ch], ch, line, col))
             i += 1
@@ -115,7 +113,11 @@ def tokenize(text: str) -> list[Token]:
             start = i
             while i < n and text[i].isdigit():
                 i += 1
-            tokens.append(Token("INT", text[start:i], line, col))
+            digits = text[start:i].lstrip("0") or "0"
+            # its bits: exact up to the 4300 digits int() takes, more beyond
+            guard("MAX_CONSTANT_BITS", int(digits[:4300]).bit_length(), MAX_CONSTANT_BITS,
+                  "bits of an integer literal", ParseError, line, col)
+            tokens.append(Token("INT", digits, line, col))
             col += i - start
             continue
         if ch.isalpha() or ch == "_":
@@ -233,12 +235,9 @@ class _Parser:
 
     def parse_factor(self, nesting: int):
         """A factor `nesting` parser calls inside open parentheses and
-        signs, refused (resource guard) beyond MAX_DEPTH of them."""
+        signs, refused beyond MAX_DEPTH of them."""
         tok = self.current
-        if nesting > MAX_DEPTH:
-            raise ParseError(f"parentheses and signs nested more than {MAX_DEPTH} "
-                             "parser calls deep (4 for each '(') refused "
-                             "(resource guard)", tok.line, tok.col)
+        guard("MAX_DEPTH", nesting, MAX_DEPTH, "nesting", ParseError, tok.line, tok.col)
         if tok.kind in ("MINUS", "PLUS"):
             self.pos += 1
             node = self.parse_factor(nesting + 1)
@@ -248,9 +247,8 @@ class _Parser:
             self.pos += 1
             exp_tok = self.eat("INT")
             exponent = int(exp_tok.text)
-            if exponent > MAX_EXPONENT:
-                raise ParseError(f"exponent overflow (max {MAX_EXPONENT})",
-                                 exp_tok.line, exp_tok.col)
+            guard("MAX_EXPONENT", exponent, MAX_EXPONENT, "exponent", ParseError,
+                  exp_tok.line, exp_tok.col)
             node = Pow(node, exponent)
         return node
 
@@ -281,20 +279,17 @@ def parse(text: str) -> SourceSystem:
 
 
 def bounded(value: int) -> int:
-    """value, refused (resource guard) beyond MAX_CONSTANT_BITS bits."""
-    if value.bit_length() > MAX_CONSTANT_BITS:
-        raise ValueError(f"integer of {value.bit_length()} bits > {MAX_CONSTANT_BITS} "
-                         "refused (resource guard)")
+    """value, refused beyond MAX_CONSTANT_BITS bits."""
+    guard("MAX_CONSTANT_BITS", value.bit_length(), MAX_CONSTANT_BITS, "bits of an integer")
     return value
 
 
 def bounded_pow(base: int, k: int) -> int:
     """bounded(base**k).  Since |base|**k >= 2**((bit_length(base) - 1)*k),
-    a power that must exceed MAX_CONSTANT_BITS bits is refused before it
-    is computed."""
-    if (base.bit_length() - 1) * k >= MAX_CONSTANT_BITS:
-        raise ValueError(f"integer power of more than {MAX_CONSTANT_BITS} bits "
-                         "refused (resource guard)")
+    a power of more than MAX_CONSTANT_BITS bits by that bound is refused
+    before it is computed."""
+    guard("MAX_CONSTANT_BITS", (base.bit_length() - 1) * k + 1, MAX_CONSTANT_BITS,
+          "bits of an integer power, at least")
     return bounded(base ** k)
 
 
@@ -400,11 +395,7 @@ def parse_poly(text: str, var: str = "z") -> UPoly:
         bad = sorted(parser.names - {var})[0]
         raise ParseError(f"unknown variable {bad!r} (only {var!r} is allowed)", 1, 1)
     degree, norm = _size_bound(expr)
-    if degree > MAX_POLY_DEGREE:
-        raise ValueError(f"polynomial degree bound {degree} > {MAX_POLY_DEGREE} "
-                         "refused (resource guard)")
-    if degree ** 2 * norm.bit_length() > MAX_POLY_SIZE:
-        raise ValueError(f"polynomial of degree {degree} with a {norm.bit_length()}-bit "
-                         f"coefficient bound: degree**2 * bits > {MAX_POLY_SIZE} "
-                         "refused (resource guard)")
+    guard("MAX_POLY_DEGREE", degree, MAX_POLY_DEGREE, "polynomial degree bound")
+    guard("MAX_POLY_SIZE", degree ** 2 * norm.bit_length(), MAX_POLY_SIZE,
+          "degree bound**2 * bits of the coefficient-sum bound")
     return _fold(expr, UPoly.constant, lambda name: UPoly.x())

@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
+from . import guard
+
 # Largest bound search accepts (resource guard).  Time and memory grow
 # about linearly in the bound: search(3, 20000) builds 86,688 sequences
 # in about 1.5 s, search(5, 20000) takes 1.0 s (2-vCPU VM, CPython 3.11).
@@ -140,15 +142,13 @@ def search(length: int, bound: int) -> list[BuchiSequence]:
     """All nontrivial canonical sequences of the given length with
     0 <= x_1, x_2 <= bound, in increasing order of (x_1, x_2).
 
-    Refuses bounds above SEARCH_BOUND_BUDGET (resource guard).
+    Refuses bounds above SEARCH_BOUND_BUDGET, a resource guard.
     """
     if length < 3:
         raise ValueError("length must be >= 3")
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if bound > SEARCH_BOUND_BUDGET:
-        raise ValueError(f"search bound {bound} > {SEARCH_BOUND_BUDGET} "
-                         "refused (resource guard)")
+    guard("SEARCH_BOUND_BUDGET", bound, SEARCH_BOUND_BUDGET, "search bound")
 
     # x_1 <= bound and x_3**2 = 2 - x_1**2 + 2*x_2**2 <= 2*bound**2 + 2.
     top = (bound + isqrt(2 * bound * bound + 2)) // 2 + 1

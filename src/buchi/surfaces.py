@@ -19,13 +19,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
 
+from . import guard
 from .exact import as_fraction, is_square_int, is_square_rat
 from .symbolic import MPoly
 
 # Largest scans accepted (resource guards), from in-process times on a
 # 2-vCPU VM (CPython 3.11): the integer-node scan at height 5000 takes up
 # to about 1.1 s, and a grid of 3.8*10**6 pairs (rational height 40)
-# about 1.4 s.
+# about 1.4 s.  A pair counts 1 + S // 8 times, S the most bits of a node's
+# numerator and denominator: at S = 3300 a pair costs 205, height 40 444 s.
 SCAN_HEIGHT_BUDGET = 5_000
 SCAN_GRID_BUDGET = 4_000_000
 # Largest N of the counterexample family accepted (resource guard): at
@@ -378,7 +380,7 @@ def scan_exceptional(nodes: EvaluationNodes, height: int,
     refuses heights above SCAN_HEIGHT_BUDGET.  Otherwise it tests the
     (u, v) grid on integer numerators and denominators, O(height**2)
     pairs for integers and O(height**4) for rationals, and refuses grids
-    of more than SCAN_GRID_BUDGET pairs (both resource guards).
+    of more than SCAN_GRID_BUDGET pairs, weighted by node bits (both guards).
     """
     if len(nodes) < 3:
         raise ValueError("scan needs at least 3 nodes")
@@ -386,16 +388,16 @@ def scan_exceptional(nodes: EvaluationNodes, height: int,
         raise ValueError("height must be >= 1")
     node_list = nodes.nodes
     if integers_only and all(a.denominator == 1 for a in node_list):
-        if height > SCAN_HEIGHT_BUDGET:
-            raise ValueError(f"scan height {height} > {SCAN_HEIGHT_BUDGET} "
-                             "refused (resource guard)")
+        guard("SCAN_HEIGHT_BUDGET", height, SCAN_HEIGHT_BUDGET, "scan height")
         return _scan_integer_nodes([a.numerator for a in node_list], height)
-    # Every grid holds the (2h + 1)**2 integer pairs; check that first, so
-    # the exact count below stays cheap.
-    if (2 * height + 1) ** 2 > SCAN_GRID_BUDGET or \
-            _grid_side(height, integers_only) ** 2 > SCAN_GRID_BUDGET:
-        raise ValueError(f"scan grid of height {height} exceeds {SCAN_GRID_BUDGET} "
-                         "pairs, refused (resource guard)")
+    # Every grid holds the (2h + 1)**2 integer pairs; only a grid within
+    # the budget by that count is counted exactly, so the count stays cheap.
+    weight = 1 + max(a.numerator.bit_length() + a.denominator.bit_length()
+                     for a in node_list) // 8
+    pairs = (2 * height + 1) ** 2 * weight
+    if pairs <= SCAN_GRID_BUDGET:
+        pairs = _grid_side(height, integers_only) ** 2 * weight
+    guard("SCAN_GRID_BUDGET", pairs, SCAN_GRID_BUDGET, "weighted scan grid pairs")
     values = ([Fraction(k) for k in range(-height, height + 1)]
               if integers_only else _rationals_up_to(height))
     return _scan_grid(node_list, values)
@@ -409,12 +411,11 @@ def counterexample_family(N: int) -> tuple[MonicQuadratic, list[int], list[int]]
 
     Returns (f_N, nodes, roots) with f_N(a_i) = roots[i]**2 checked
     exactly; roots[i] = |i! - (2N)!/i!|.  Refuses N above
-    FAMILY_N_BUDGET (resource guard).
+    FAMILY_N_BUDGET, a resource guard.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if N > FAMILY_N_BUDGET:
-        raise ValueError(f"N = {N} > {FAMILY_N_BUDGET} refused (resource guard)")
+    guard("FAMILY_N_BUDGET", N, FAMILY_N_BUDGET, "N")
     K = factorial(2 * N)
     f = MonicQuadratic(0, -4 * K)
     nodes = []

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import product
 
+from buchi import guard
 from buchi.reduction.compiler import CHECK_WORK_BUDGET, W_BOUND_BUDGET, EquisatReport
 from buchi.reduction.parser import Num, Pow, Product, Sum, Var, bounded_pow
 from buchi.sequences import search
@@ -133,21 +134,17 @@ def scalar_satisfied(target, env: dict[str, int]) -> bool:
 def scalar_bounded_equisat(system, target, box: int) -> EquisatReport:
     """compiler.bounded_equisat one assignment at a time.  Its guards are
     literals, and it also refuses more than 2 * 10**6 assignments, which
-    CHECK_WORK_BUDGET implies."""
+    CHECK_WORK_BUDGET implies.  Its work is assignments times the units
+    each one runs through, with no blocks."""
     if box < 1:
         raise ValueError("box must be >= 1")
-    if box > 50:
-        raise ValueError("box > 50 refused (resource guard)")
+    guard("MAX_BOX", box, 50, "box")
     k = len(system.variables)
-    if k > 4:
-        raise ValueError("more than 4 source variables refused (resource guard)")
-    if (2 * box + 1) ** k > 2_000_000:
-        raise ValueError("assignment box too large for exhaustive search (resource guard)")
+    guard("MAX_SOURCE_VARS", k, 4, "source variables")
+    guard("2 * 10**6", (2 * box + 1) ** k, 2_000_000, "assignments")
     work = (2 * box + 1) ** k * (system.size + len(target.trace)
                                  + len(target.linear) + len(target.squares))
-    if work > CHECK_WORK_BUDGET:
-        raise ValueError(f"check of {work} assignment steps > {CHECK_WORK_BUDGET} "
-                         "refused (resource guard)")
+    guard("CHECK_WORK_BUDGET", work, CHECK_WORK_BUDGET, "check work")
     w_vars = [step[1] for step in target.trace if step[0] == "shift"]
     solutions = []
     lifted = agreements = total = w_bound = 0
@@ -160,9 +157,7 @@ def scalar_bounded_equisat(system, target, box: int) -> EquisatReport:
         if holds == sat:
             agreements += 1
         w_bound = max([w_bound] + [abs(full[w]) for w in w_vars])
-        if w_bound > W_BOUND_BUDGET:
-            raise ValueError(f"gadget witness bound {w_bound} > {W_BOUND_BUDGET} "
-                             "refused (resource guard)")
+        guard("W_BOUND_BUDGET", w_bound, W_BOUND_BUDGET, "gadget witness bound")
         if sat:
             solutions.append(dict(env))
             lifted += holds

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from buchi.cli import main
+from buchi.cli import MAX_ARG_DIGITS, main
 from buchi.reduction.compiler import CHECK_WORK_BUDGET, GADGET_BUDGET
 from buchi.reduction.formulas import MAX_M
-from buchi.reduction.parser import MAX_DEPTH, MAX_POLY_DEGREE, MAX_TOKENS
+from buchi.reduction.parser import (MAX_CONSTANT_BITS, MAX_DEPTH, MAX_EXPONENT,
+                                    MAX_POLY_DEGREE, MAX_TOKENS)
 from helpers import DEEP_SHAPES, FLAT_LENGTH, dense_poly, mixed_nesting
 
 
@@ -96,11 +97,14 @@ class TestSurface:
         assert time.monotonic() - t0 < 1
 
     def test_scan_grid_guard(self, capsys):
-        t0 = time.monotonic()
-        code, out, err = run(capsys, "surface", "scan", "--nodes=1/2,1,3",
-                             "--height", "100")
-        assert code == 1 and out == "" and "(resource guard)" in err
-        assert time.monotonic() - t0 < 1
+        # a pair of 3314-bit nodes counts 415 times, so their grid of
+        # height 40 is refused at once
+        for nodes, height in (("1/2,1,3", "100"), ("1/" + "3" * 998 + ",1,3", "40")):
+            t0 = time.monotonic()
+            code, out, err = run(capsys, "surface", "scan", f"--nodes={nodes}",
+                                 "--height", height)
+            assert code == 1 and out == "" and "(resource guard)" in err
+            assert time.monotonic() - t0 < 1
 
     def test_family(self, capsys):
         payload = run_json(capsys, "surface", "family", "--N", "2", "--json")
@@ -175,11 +179,16 @@ class TestPadic:
         assert payload["holds"] is True
 
     def test_ldl_order_guard(self, capsys):
-        t0 = time.monotonic()
-        code, out, err = run(capsys, "padic", "ldl", "--p", "3", "--num", "1",
-                             "--den", "z^2+z+1", "--n", "1000", "--rho", "1")
-        assert code == 1 and out == "" and "(resource guard)" in err
-        assert time.monotonic() - t0 < 1
+        # a cost of more than the 4300 digits CPython prints is given by
+        # its bits
+        for n, cost in (("1000", "2000"), ("9" * 4300, "of 14286 bits")):
+            t0 = time.monotonic()
+            code, out, err = run(capsys, "padic", "ldl", "--p", "3", "--num", "1",
+                                 "--den", "z^2+z+1", "--n", n, "--rho", "1")
+            assert code == 1 and out == ""
+            assert err == (f"buchi: error: n * max(1, deg den) {cost} > LDL_BUDGET = 40 "
+                           "refused (resource guard)\n")
+            assert time.monotonic() - t0 < 1
 
     def test_poly_degree_guard(self, capsys):
         t0 = time.monotonic()
@@ -377,6 +386,11 @@ class TestCompileCheck:
         src.write_text("x*y = z\n")
         payload = run_json(capsys, "check", "--in", str(src), "--box", "3", "--json")
         assert payload["passed"] is True and payload["assignments"] == 7 ** 3
+        # a target of 98,246 variables runs one row per block and pays a
+        # block's fixed cost for each; it is refused after its compile
+        src.write_text("x = " + "*".join(["z"] * 4095) + "\n")
+        code, out, err = run(capsys, "check", "--in", str(src), "--box", "1")
+        assert code == 1 and out == "" and "> CHECK_WORK_BUDGET = " in err
 
     def test_check_work_budget_caps_the_assignments(self, capsys, tmp_path):
         # every source has at least 4 tokens, the end of input counted, so
@@ -451,7 +465,29 @@ class TestDepthGuard:
         code, out, err = run(capsys, *argv)
         assert time.monotonic() - t0 < 1
         assert code == 1 and out == ""
-        assert f"more than {MAX_TOKENS} tokens refused (resource guard)" in err
+        assert (f"tokens {MAX_TOKENS + 1} > MAX_TOKENS = {MAX_TOKENS} "
+                "refused (resource guard)") in err
+
+    @pytest.mark.parametrize("command", ["padic", "compile", "check"])
+    def test_literal_and_exponent_budgets(self, capsys, tmp_path, command):
+        # a literal of MAX_CONSTANT_BITS bits is read; one more bit, or a
+        # literal or exponent of more digits than CPython converts, is
+        # refused as it is tokenized, and an exponent past MAX_EXPONENT
+        # as it is parsed
+        edge = 2 ** MAX_CONSTANT_BITS
+        code, out, err = run(capsys, *_expr_argv(command, str(edge - 1), tmp_path / "n.dioph"))
+        assert code == 0 and out, err
+        for expr, name in ((f"{edge}*z", "MAX_CONSTANT_BITS"),
+                           ("9" * 5000 + "*z", "MAX_CONSTANT_BITS"),
+                           ("z^" + "9" * 5000, "MAX_CONSTANT_BITS"),
+                           (f"z^{MAX_EXPONENT + 1}", "MAX_EXPONENT")):
+            argv = _expr_argv(command, expr, tmp_path / "n.dioph")
+            t0 = time.monotonic()
+            code, out, err = run(capsys, *argv)
+            assert time.monotonic() - t0 < 1
+            assert code == 1 and out == "" and "Exceeds the limit" not in err
+            assert re.search(rf"column \d+: .* > {name} = \d+ refused \(resource guard\)$",
+                             err.strip()), err[:200]
 
     @pytest.mark.parametrize("command", ["padic", "compile", "check"])
     def test_mixed_nesting_at_the_limit(self, capsys, tmp_path, command):
@@ -493,6 +529,36 @@ class TestFormulasCommand:
         code, out, _ = run(capsys, "formulas", "--mode", "Psi",
                            "--deltas", "1,2,3")
         assert code == 0 and "P2(c1)" in out
+
+
+class TestNumberArguments:
+    def test_digit_budget(self, capsys):
+        # each number of a list argument, --rho and --a is refused past
+        # MAX_ARG_DIGITS characters, before CPython's 4300-digit limit on
+        # conversion is reached
+        for argv in (["seq", "verify", "5" * 5000 + ",1,2"],
+                     ["padic", "norm", "--p", "3", "--poly", "z^200", "--rho", "9" * 4299],
+                     ["padic", "fmt", "--p", "2", "--num", "z-1", "--a", "1/" + "3" * 4400,
+                      "--rhos", "0,1"],
+                     ["formulas", "--mode", "Psi", "--deltas", "1," + "7" * 2200]):
+            t0 = time.monotonic()
+            code, out, err = run(capsys, *argv)
+            assert time.monotonic() - t0 < 1
+            assert code == 1 and out == ""
+            assert err.strip().endswith(
+                f"> MAX_ARG_DIGITS = {MAX_ARG_DIGITS} refused (resource guard)"), err[:200]
+
+    def test_argument_at_the_limit(self, capsys):
+        long = "7" * MAX_ARG_DIGITS
+        code, out, err = run(capsys, "formulas", "--mode", "Psi", "--deltas", f"1,{long}")
+        assert code == 0 and str(int(long) * (int(long) - 1)) in out, err[:200]
+        code, out, err = run(capsys, "seq", "verify", f"{long},1,2")
+        assert code == 0 and out.strip() == "buchi: no"
+        code, out, err = run(capsys, "padic", "norm", "--p", "3", "--poly", "z^200",
+                             "--rho", long)
+        assert code == 0 and out.strip() == str(200 * int(long))
+        code, out, err = run(capsys, "formulas", "--mode", "Psi", "--deltas", f"1,{long}7")
+        assert code == 1 and "MAX_ARG_DIGITS" in err
 
 
 class TestHarness:

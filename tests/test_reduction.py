@@ -12,8 +12,8 @@ from buchi.reduction import (ParseError, TACProgram, bounded_equisat,
                              print_formulas, run_trace, translate_witness,
                              validate_target)
 from buchi.reduction.compiler import BLOCK_CELLS
-from buchi.reduction.parser import (MAX_DEPTH, MAX_POLY_DEGREE, MAX_TOKENS, Num,
-                                    Pow, Product, Sum, Var, tokenize)
+from buchi.reduction.parser import (MAX_CONSTANT_BITS, MAX_DEPTH, MAX_POLY_DEGREE,
+                                    MAX_TOKENS, Num, Pow, Product, Sum, Var, tokenize)
 from buchi.surfaces import BuchiSurface, surface_equations
 from buchi.symbolic import UPoly
 from helpers import (DEEP_SHAPES, FLAT_LENGTH, dense_poly, mixed_nesting,
@@ -46,7 +46,8 @@ class TestParser:
     def test_exponent_overflow(self):
         with pytest.raises(ParseError) as err:
             parse("x^100000 = 0")
-        assert "overflow" in str(err.value)
+        assert str(err.value) == ("line 1, column 3: exponent 100000 > MAX_EXPONENT = 4096 "
+                                  "refused (resource guard)")
 
     def test_empty_input(self):
         with pytest.raises(ParseError):
@@ -118,6 +119,22 @@ class TestParser:
             parse_poly("(z + 9^4096)^200")
         assert parse_poly("9^4096 * z").coeffs == (0, 9 ** 4096)
 
+    def test_literal_budget(self):
+        # a literal of MAX_CONSTANT_BITS bits is read and one of a bit more
+        # refused, at its position; leading zeros do not count
+        edge = 2 ** MAX_CONSTANT_BITS
+        assert parse_poly(f"{edge - 1}*z").coeffs == (0, edge - 1)
+        assert parse(f"x = {edge - 1}").equations[0].expr.terms[1][1] == Num(edge - 1)
+        assert parse_poly("0" * 5000 + "5*z").coeffs == (0, 5)
+        for text in (f"x = {edge}", "x =\n  " + "9" * 5000, "x = y^" + "9" * 5000):
+            with pytest.raises(ParseError, match=r"^line \d, column \d: bits of an integer "
+                               r"literal \d+ > MAX_CONSTANT_BITS = 14000 refused"):
+                parse(text)
+        # a power is refused before it is computed when |base|**k has, by
+        # the bits of base, at least MAX_CONSTANT_BITS + 1 bits
+        with pytest.raises(ValueError, match=r"^bits of an integer power, at least 14001 "):
+            lower_tac(parse("x = (2^3500 + 1)^4"))
+
     def test_poly_size_budget(self):
         # degree 200 admits a coefficient-sum bound of 4000 bits, not 4001
         assert parse_poly("(131071*z+131071)^200").degree == 200
@@ -152,7 +169,8 @@ class TestParser:
         for parser, text in ((tokenize, "z+" * (MAX_TOKENS // 2) + "z"),
                              (parse_poly, "+".join(["z"] * (MAX_TOKENS // 2 + 1))),
                              (parse, "x = " + "*".join(["z"] * 10 ** 5))):
-            with pytest.raises(ParseError, match=f"more than {MAX_TOKENS} tokens refused"):
+            with pytest.raises(ParseError, match=re.escape(
+                    f"tokens {MAX_TOKENS + 1} > MAX_TOKENS = {MAX_TOKENS} refused")):
                 parser(text)
 
     def test_mixed_nesting_at_the_limit(self):
@@ -568,7 +586,8 @@ class TestBlockEquisat:
         # 4096th power has more than MAX_CONSTANT_BITS bits
         text = "a = 2; (b*(a+2)*(a+1)*a*(a-1))^4096 = 0"
         report, _ = self.agree(text, 5, 2)
-        assert report.startswith("integer power of more than")
+        assert report.startswith("bits of an integer power, at least ")
+        assert report.endswith(" > MAX_CONSTANT_BITS = 14000 refused (resource guard)")
         # at box 1 no row has a = 2, and nothing is refused
         report, _ = self.agree(text, 5, 1)
         assert report["source_solutions"] == 0

@@ -324,6 +324,12 @@ class TestScan:
         with pytest.raises(ValueError, match="resource guard"):
             scan_exceptional(EvaluationNodes((Fraction(1, 2), 1, 3)), 1000,
                              integers_only=True)
+        # a pair counts 1 + S // 8 times, S the most bits of a node's
+        # numerator and denominator: the 261,121 pairs of height 20 are
+        # admitted for small nodes, and refused for a node of 132 bits
+        scan_exceptional(EvaluationNodes((Fraction(1, 2), 1, 3)), 20)
+        with pytest.raises(ValueError, match="SCAN_GRID_BUDGET"):
+            scan_exceptional(EvaluationNodes((Fraction(1, 2 ** 130), 1, 3)), 20)
 
     def test_needs_three_nodes(self):
         with pytest.raises(ValueError):
