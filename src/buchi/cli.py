@@ -41,11 +41,13 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in parts]
 
 
-def _emit(args, payload: dict, human: str) -> None:
+def _emit(args, payload: dict, human) -> None:
+    """Print payload as JSON under --json, else human: the text, or a
+    function that builds it when the text costs time to build."""
     if args.json:
         print(json.dumps(payload))
     else:
-        print(human)
+        print(human() if callable(human) else human)
 
 
 def _ratfunc(args, num_attr: str = "num", den_attr: str = "den"):
@@ -63,8 +65,8 @@ def _cmd_seq_search(args) -> int:
     results = sequences.search(args.length, args.bound)
     values = [list(seq.values) for seq in results]
     payload = {"length": args.length, "bound": args.bound, "nontrivial": values}
-    human = "\n".join(",".join(str(v) for v in vs) for vs in values)
-    _emit(args, payload, human or "no nontrivial sequences")
+    _emit(args, payload, lambda: "\n".join(",".join(map(str, vs)) for vs in values)
+          or "no nontrivial sequences")
     return 0
 
 

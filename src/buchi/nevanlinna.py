@@ -30,11 +30,10 @@ valuations and Newton polygon once and reads every radius off them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from . import guard
+from . import Record, guard
 from .exact import as_fraction, valuation
 from .symbolic import RatFunc, UPoly
 
@@ -56,40 +55,35 @@ class _AtInfinity:
 INF = _AtInfinity()
 
 
-@dataclass(frozen=True)
-class NewtonSegment:
-    slope: Fraction
-    length: int
+class NewtonSegment(Record):
+    __slots__ = ("slope", "length")
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(Record):
     """Segments sorted by strictly increasing slope; total length equals
     the number of nonzero roots with multiplicity."""
 
-    segments: tuple[NewtonSegment, ...]
+    __slots__ = ("segments",)
 
-    def __post_init__(self):
-        slopes = [s.slope for s in self.segments]
-        if any(s.length < 1 for s in self.segments):
+    def __init__(self, segments):
+        slopes = [s.slope for s in segments]
+        if any(s.length < 1 for s in segments):
             raise ValueError("segment lengths must be positive")
         if any(a >= b for a, b in zip(slopes, slopes[1:])):
             raise ValueError("slopes must be strictly increasing")
+        object.__setattr__(self, "segments", segments)
 
     @property
     def total_length(self) -> int:
         return sum(s.length for s in self.segments)
 
 
-@dataclass(frozen=True)
-class _PadicPoly:
+class _PadicPoly(Record):
     """What no radius changes about a nonzero polynomial: the points
     (k, v_p(a_k)) of its nonzero coefficients by increasing k, its order
     at 0 and its Newton polygon."""
 
-    points: tuple[tuple[int, int], ...]
-    ord0: int
-    polygon: NewtonPolygon
+    __slots__ = ("points", "ord0", "polygon")
 
     def log_norm(self, rho: Fraction) -> Fraction:
         """max(k*rho - v) over the points, in integers: with rho = a/b and
@@ -285,21 +279,15 @@ def _eventual_bound(polys, quotients) -> Fraction:
     return bound
 
 
-@dataclass(frozen=True)
-class FmtReport:
+class FmtReport(Record):
     """Defect m(f,a) + N(f,a) - m(f,inf) - N(f,inf) over a radius grid.
 
     The defect is piecewise linear; beyond `stable_beyond` it is affine
     with slope `eventual_slope`, and the check passes exactly when that
     slope is zero (the defect is then the constant `eventual_value`)."""
 
-    a: Fraction
-    grid: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
-    spread: Fraction
-    stable_beyond: Fraction
-    eventual_slope: Fraction
-    eventual_value: Fraction
+    __slots__ = ("a", "grid", "values", "spread", "stable_beyond", "eventual_slope",
+                 "eventual_value")
 
     @property
     def passed(self) -> bool:
@@ -332,20 +320,22 @@ def check_fmt(f, a, p: int, rhos) -> FmtReport:
                      eventual_value=v1)
 
 
-@dataclass(frozen=True)
-class SmtReport:
+# Largest targets * (radii + 2) that check_smt evaluates (resource guard):
+# it reads each target's proximity at every radius and at two samples past
+# the grid.  At this budget (2-vCPU VM, CPython 3.11, in-process through
+# cli.main) numerators up to degree 20 took 0.4-0.7 s, and one of degree
+# 200 1.6 s; 400 targets by 400 radii took 1.9 s.
+SMT_GRID_BUDGET = 40_000
+
+
+class SmtReport(Record):
     """sum_i m(f, a_i) - N(f, inf) over a radius grid.
 
     Beyond `stable_beyond` the quantity is affine; the check passes when
     its eventual slope is <= 0, so the grid supremum cannot be escaped to
     the right.  A finite grid cannot certify more."""
 
-    targets: tuple[Fraction, ...]
-    grid: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
-    sup: Fraction
-    stable_beyond: Fraction
-    eventual_slope: Fraction
+    __slots__ = ("targets", "grid", "values", "sup", "stable_beyond", "eventual_slope")
 
     @property
     def passed(self) -> bool:
@@ -364,6 +354,8 @@ def check_smt(f, targets, p: int, rhos) -> SmtReport:
     grid = tuple(sorted(as_fraction(r) for r in rhos))
     if not grid:
         raise ValueError("empty radius grid")
+    guard("SMT_GRID_BUDGET", len(ts) * (len(grid) + 2), SMT_GRID_BUDGET,
+          "targets * (radii + 2)")
     den = _padic(f.den, p)
     fas = [_padic(_minus(f, a), p) for a in ts]
 

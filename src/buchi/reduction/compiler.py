@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import chain, compress, islice, product
 from operator import not_
 
-from .. import guard
+from .. import Record, guard
 from .formulas import check_m
 from .lower import LinearEq, eliminate_mul, lower_tac, run_trace
 from .parser import SourceSystem, evaluate
@@ -70,24 +69,20 @@ MAX_SOURCE_VARS = 4
 BLOCK_CELLS = 2 ** 13
 
 
-@dataclass(frozen=True)
-class SquareEq:
+class SquareEq(Record):
     """lhs - rhs**2 = 0; rhs is a fresh witness variable."""
 
-    lhs: str
-    rhs: str
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: str, rhs: str):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass
-class TargetSystem:
-    source_vars: tuple[str, ...]
-    variables: tuple[str, ...]
-    linear: tuple[LinearEq, ...]
-    squares: tuple[SquareEq, ...]
-    buchi_m: int
-    meta: dict
-    trace: tuple
-    counters: dict = field(default_factory=dict)
+class TargetSystem(Record):
+    __slots__ = ("source_vars", "variables", "linear", "squares", "buchi_m", "meta",
+                 "trace", "counters")
+    __setattr__ = object.__setattr__
 
     def extend(self, assignment: dict[str, int]) -> dict[str, int]:
         """Forced values of every variable given the source variables: the
@@ -148,12 +143,8 @@ class TargetSystem:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class GadgetBlock:
-    variables: tuple[str, ...]
-    linear: tuple[LinearEq, ...]
-    squares: tuple[SquareEq, ...]
-    trace: tuple
+class GadgetBlock(Record):
+    __slots__ = ("variables", "linear", "squares", "trace")
 
 
 def encode_square(t: str, q: str, m: int,
@@ -287,8 +278,7 @@ def translate_witness(system: SourceSystem, target: TargetSystem,
     return full
 
 
-@dataclass
-class EquisatReport:
+class EquisatReport(Record):
     """Exhaustive box check of the source/target correspondence.
 
     forward: every source solution in the box lifts to an exact target
@@ -299,14 +289,9 @@ class EquisatReport:
     here by an exhaustive sequence search below the derived bound.
     """
 
-    box: int
-    assignments: int
-    source_solutions: int
-    lifted: int
-    agreements: int
-    solutions: list[dict[str, int]]
-    derived_w_bound: int
-    nontrivial_gadget_sequences: int
+    __slots__ = ("box", "assignments", "source_solutions", "lifted", "agreements",
+                 "solutions", "derived_w_bound", "nontrivial_gadget_sequences")
+    __setattr__ = object.__setattr__
 
     @property
     def passed(self) -> bool:

@@ -48,12 +48,12 @@ The result is linear equations plus constraints q = t**2.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import repeat
 from math import prod
 from operator import add, mul, sub
 
+from .. import Record
 from .parser import (Num, Pow, Product, SourceSystem, Var, bounded,
                      bounded_pow)
 
@@ -81,15 +81,11 @@ def run_trace(steps, env: dict[str, Sequence[int]], rows: int) -> dict[str, Sequ
     return env
 
 
-@dataclass(frozen=True)
-class TACProgram:
+class TACProgram(Record):
     """Three-address program: instrs are "const", "add", "sub" and "mul"
     trace steps, one per temporary, in the order of temps."""
 
-    source_vars: tuple[str, ...]
-    temps: tuple[str, ...]
-    instrs: tuple
-    equalities: tuple[tuple[str, str], ...]
+    __slots__ = ("source_vars", "temps", "instrs", "equalities")
 
 
 class _Lowerer:
@@ -183,12 +179,15 @@ def lower_tac(system: SourceSystem) -> TACProgram:
                       equalities=tuple(equalities))
 
 
-@dataclass
-class LinearEq:
+class LinearEq(Record):
     """sum(coeffs[v] * v) + const = 0 over integer variables."""
 
-    coeffs: dict[str, int]
-    const: int = 0
+    __slots__ = ("coeffs", "const")
+    __setattr__ = object.__setattr__
+
+    def __init__(self, coeffs: dict[str, int], const: int):
+        self.coeffs = coeffs
+        self.const = const
 
     def residual(self, env: dict[str, Sequence[int]], rows: Sequence[int]) -> list[int]:
         """The residual at each of rows, ascending indices into env's
@@ -202,25 +201,18 @@ class LinearEq:
         return total
 
 
-@dataclass(frozen=True)
-class Squaring:
+class Squaring(Record):
     """The constraint q = t**2 (t shared with the rest of the system)."""
 
-    q: str
-    t: str
+    __slots__ = ("q", "t")
 
 
-@dataclass
-class IntermediateSystem:
+class IntermediateSystem(Record):
     """Only linear equations plus squaring constraints; the trace records
     how every introduced variable is forced by the source variables."""
 
-    source_vars: tuple[str, ...]
-    variables: tuple[str, ...]
-    linear: list[LinearEq]
-    squarings: list[Squaring]
-    trace: tuple
-    counters: dict = field(default_factory=dict)
+    __slots__ = ("source_vars", "variables", "linear", "squarings", "trace", "counters")
+    __setattr__ = object.__setattr__
 
 
 def eliminate_mul(prog: TACProgram) -> IntermediateSystem:

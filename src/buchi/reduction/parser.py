@@ -28,11 +28,10 @@ lhs - rhs, read as lhs - rhs = 0.  Positions are 1-based (line, column).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mul, sub
 
-from .. import guard
+from .. import Record, guard
 from ..symbolic import MPoly, UPoly
 
 MAX_EXPONENT = 4096
@@ -71,12 +70,14 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "col", col)
 
 
 _SYMBOLS = {"+": "PLUS", "-": "MINUS", "*": "STAR", "^": "CARET",
@@ -136,44 +137,35 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
+class Num(Record):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple[tuple[int, object], ...]
+class Sum(Record):
+    __slots__ = ("terms",)  # (sign, term) pairs
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
+class Product(Record):
+    __slots__ = ("factors",)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+class Pow(Record):
+    __slots__ = ("base", "exponent")
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(Record):
     """One source equation, normalized to expr = 0."""
 
-    expr: object
+    __slots__ = ("expr",)
 
 
-@dataclass(frozen=True)
-class SourceSystem:
-    equations: tuple[Equation, ...]
-    variables: tuple[str, ...]
-    size: int  # tokens of the source, a bound on the nodes of its trees
+class SourceSystem(Record):
+    # size: the tokens of the source, a bound on the nodes of its trees
+    __slots__ = ("equations", "variables", "size")
 
 
 def _product(factors: list):

@@ -25,10 +25,9 @@ of sign-resolved tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
-from . import guard
+from . import Record, guard
 
 # Largest bound search accepts (resource guard).  Time and memory grow
 # about linearly in the bound: search(3, 20000) builds 86,688 sequences
@@ -60,20 +59,17 @@ def closed_form(x1_sq: int, x2_sq: int, n: int) -> int:
     return (n - 1) * (n - 2) - (n - 2) * x1_sq + (n - 1) * x2_sq
 
 
-@dataclass(frozen=True)
-class TrivialityWitness:
+class TrivialityWitness(Record):
     """Certificate that x_i**2 = (nu + i)**2 for every index i."""
 
-    nu: int
-    signs: tuple[int, ...]
+    __slots__ = ("nu", "signs")
 
 
-@dataclass(frozen=True)
-class BuchiSequence:
+class BuchiSequence(Record):
     """A canonical (entries >= 0) sequence of length >= 3 whose squares
     have second difference constantly 2."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
     def __init__(self, values):
         vs = tuple(abs(int(v)) for v in values)

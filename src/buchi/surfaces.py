@@ -15,11 +15,10 @@ points compare equal modulo a nonzero rational scalar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
 
-from . import guard
+from . import Record, guard
 from .exact import as_fraction, is_square_int, is_square_rat
 from .symbolic import MPoly
 
@@ -37,12 +36,10 @@ SCAN_GRID_BUDGET = 4_000_000
 FAMILY_N_BUDGET = 500
 
 
-@dataclass(frozen=True)
-class MonicQuadratic:
+class MonicQuadratic(Record):
     """f = x**2 + u*x + v with exact rational u, v."""
 
-    u: Fraction
-    v: Fraction
+    __slots__ = ("u", "v")
 
     def __init__(self, u, v):
         object.__setattr__(self, "u", as_fraction(u))
@@ -62,11 +59,10 @@ class MonicQuadratic:
         return self.discriminant == 0
 
 
-@dataclass(frozen=True)
-class EvaluationNodes:
+class EvaluationNodes(Record):
     """Pairwise distinct rational nodes a_1..a_n, n >= 2."""
 
-    nodes: tuple[Fraction, ...]
+    __slots__ = ("nodes",)
 
     def __init__(self, nodes):
         ns = tuple(as_fraction(a) for a in nodes)
@@ -89,15 +85,14 @@ class EvaluationNodes:
         return BuchiSurface(self.deltas)
 
 
-@dataclass(frozen=True)
-class BuchiSurface:
+class BuchiSurface(Record):
     """X_n, presented by its offsets d_2..d_n (distinct nonzero rationals).
 
     A single offset gives n = 2 and the empty equation list: X_2 is all
     of P^2.
     """
 
-    deltas: tuple[Fraction, ...]
+    __slots__ = ("deltas",)
 
     def __init__(self, deltas):
         ds = tuple(as_fraction(d) for d in deltas)
@@ -115,11 +110,10 @@ class BuchiSurface:
         return len(self.deltas) + 1
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+class ProjectivePoint(Record):
     """[x_0 : ... : x_n]; equality is modulo a nonzero rational scalar."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ("coords",)
 
     def __init__(self, coords):
         cs = tuple(as_fraction(c) for c in coords)
@@ -145,14 +139,12 @@ class ProjectivePoint:
         return hash(self.canonical().coords)
 
 
-@dataclass(frozen=True)
-class TrivialLineWitness:
+class TrivialLineWitness(Record):
     """Sign pattern eps_1..eps_n with eps_1*x_1 = eps_i*x_i - d_i*x_0 for
     all i >= 2, plus the common affine value nu = eps_1*x_1/x_0 (None for
     points with x_0 = 0)."""
 
-    signs: tuple[int, ...]
-    nu: Fraction | None
+    __slots__ = ("signs", "nu")
 
 
 def defining_forms(s: BuchiSurface):

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from buchi.exact import valuation
-from buchi.nevanlinna import (INF, LDL_BUDGET, NewtonSegment, check_fmt,
-                              check_ldl, check_pjf, check_smt, count_zeros,
+from buchi.nevanlinna import (INF, LDL_BUDGET, SMT_GRID_BUDGET, NewtonSegment,
+                              check_fmt, check_ldl, check_pjf, check_smt, count_zeros,
                               delta_identity, difference_identity,
                               gauss_log_norm, height_N, newton_polygon, prox_m)
 from buchi.nevanlinna import _padic
@@ -317,6 +317,14 @@ class TestSmt:
     def test_duplicate_targets_rejected(self):
         with pytest.raises(ValueError):
             check_smt(Z, (1, 1), 2, (0, 1))
+
+    def test_grid_budget(self):
+        # 100 targets: 398 radii cost exactly the budget, 399 are refused
+        targets = range(1, 101)
+        radii = SMT_GRID_BUDGET // 100 - 2
+        assert len(check_smt(1 / Z, targets, 5, range(radii)).values) == radii
+        with pytest.raises(ValueError, match="SMT_GRID_BUDGET = 40000 refused"):
+            check_smt(1 / Z, targets, 5, range(radii + 1))
 
     def test_randomized(self):
         rng = random.Random(53)

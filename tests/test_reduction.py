@@ -196,6 +196,17 @@ class TestParser:
         assert parse("y = (z)").equations[0].expr.terms[1][1] == z
         assert (lower_tac(parse("x = z+(y+w)")).instrs
                 != lower_tac(parse("x = (z+y)+w")).instrs)
+        # nodes compare by class and fields, hash by their fields, and are
+        # immutable
+        assert Sum(((1, z),)) != Product(((1, z),)) and Num(3) != (3,)
+        assert Num(3) == Num(3) and hash(Num(3)) == hash(Num(3))
+        assert {z: 1}[Var("z")] == 1
+        with pytest.raises(AttributeError):
+            z.name = "w"
+        assert Pow(z, exponent=2) == Pow(base=z, exponent=2) == Pow(z, 2)
+        for args, kwargs in (((z,), {}), ((z, 2, 3), {}), ((z,), {"base": z})):
+            with pytest.raises(TypeError):
+                Pow(*args, **kwargs)
 
     def test_dense_poly_at_degree_limit(self):
         # written term by term, a polynomial of degree MAX_POLY_DEGREE is
@@ -533,9 +544,10 @@ class TestWitness:
 def _equisat_outcome(check, system, target, box):
     """The report's fields, or the message check refused with."""
     try:
-        return vars(check(system, target, box))
+        report = check(system, target, box)
     except ValueError as err:
         return str(err)
+    return {name: getattr(report, name) for name in report.__slots__}
 
 
 class TestBlockEquisat:

@@ -157,7 +157,10 @@ class TestSearch:
             # canonicalization: random sign flips verify from raw squares
             flipped = tuple(v * rng.choice((1, -1)) for v in seq.values)
             assert is_buchi(flipped)
-            assert BuchiSequence(flipped).values == seq.values
+            assert BuchiSequence(flipped) == seq != seq.values
+            assert hash(BuchiSequence(flipped)) == hash(seq)
+        with pytest.raises(AttributeError):
+            seq.values = (0, 7, 10)
 
     def test_against_unfiltered_brute_force(self):
         # independent oracle with no residue filtering and no squares set:
