@@ -320,12 +320,15 @@ def check_fmt(f, a, p: int, rhos) -> FmtReport:
                      eventual_value=v1)
 
 
-# Largest targets * (radii + 2) that check_smt evaluates (resource guard):
-# it reads each target's proximity at every radius and at two samples past
-# the grid.  At this budget (2-vCPU VM, CPython 3.11, in-process through
-# cli.main) numerators up to degree 20 took 0.4-0.7 s, and one of degree
-# 200 1.6 s; 400 targets by 400 radii took 1.9 s.
-SMT_GRID_BUDGET = 40_000
+# Largest targets * (radii + 20) * (degree + 40) that check_smt evaluates
+# (resource guard), the degree being the larger of f's numerator and
+# denominator.  Each target reads f - a at every radius and at two samples
+# past the grid, and its Newton polygon costs about 18 readings more; a
+# reading costs about degree + 40 steps.  At this budget (2-vCPU VM,
+# CPython 3.11, in-process through cli.main) dense inputs of degree 1 to
+# 200 took 0.55-0.75 s on 10 or 100 targets, and 0.2-0.5 s on one radius
+# with as many targets as it admits.
+SMT_GRID_BUDGET = 4_000_000
 
 
 class SmtReport(Record):
@@ -354,8 +357,9 @@ def check_smt(f, targets, p: int, rhos) -> SmtReport:
     grid = tuple(sorted(as_fraction(r) for r in rhos))
     if not grid:
         raise ValueError("empty radius grid")
-    guard("SMT_GRID_BUDGET", len(ts) * (len(grid) + 2), SMT_GRID_BUDGET,
-          "targets * (radii + 2)")
+    guard("SMT_GRID_BUDGET",
+          len(ts) * (len(grid) + 20) * (max(f.num.degree, f.den.degree) + 40),
+          SMT_GRID_BUDGET, "targets * (radii + 20) * (degree + 40)")
     den = _padic(f.den, p)
     fas = [_padic(_minus(f, a), p) for a in ts]
 

@@ -9,14 +9,18 @@ The search finds the length-3 sequences from factor pairs instead of
 testing every pair (x_1, x_2).  x_1**2 + x_3**2 = 2(x_2**2 + 1) forces
 x_1 = x_3 (mod 2), and with a = (x_1 + x_3)/2, b = (x_3 - x_1)/2 it reads
 (x_2 - |b|)(x_2 + |b|) = (a - 1)(a + 1).  So every solution is one
-factorization e*f = a**2 - 1 with e <= f and e = f (mod 2), giving
-x_2 = (e + f)/2, |b| = (f - e)/2 and x_1 = a -+ |b|.  One
-smallest-prime-factor sieve factors a - 1 and a + 1, so a search costs
-about the bound times the mean divisor count of a**2 - 1, not the bound
-squared.  A sequence is trivial exactly when |x_1 - x_2| = 1 (its
-entries |nu + i| move by one, and the first two squares force the
-rest), so trivial pairs are dropped before the closed form extends the
-others, stopping at the first forced value that is not a square.
+factorization e*f = a**2 - 1 with e < f and e = f (mod 2), giving
+x_2 = (e + f)/2, |b| = (f - e)/2 and x_1 = a -+ |b|.  The loop runs over
+the smaller factor e: for fixed e, f > e, x_2 <= bound and |b| <= a read
+a > e, a**2 <= 2*bound*e - e**2 + 1 and (a - e)**2 <= 2*e**2 + 1, and
+e | a**2 - 1 puts a on the square roots of 1 mod e, which a
+smallest-prime-factor sieve and the Chinese remainder theorem give.  So
+a search costs about the bound times the mean number of those roots,
+not the bound squared.  A sequence is trivial exactly when
+|x_1 - x_2| = 1 (its entries |nu + i| move by one, and the first two
+squares force the rest), so trivial pairs are dropped before the closed
+form extends the others, stopping at the first forced value that is not
+a square.
 
 Squares determine values up to sign, so sequences are canonicalized to
 nonnegative entries; reported counts are counts of square-sequences, not
@@ -31,7 +35,7 @@ from . import Record, guard
 
 # Largest bound search accepts (resource guard).  Time and memory grow
 # about linearly in the bound: search(3, 20000) builds 86,688 sequences
-# in about 1.5 s, search(5, 20000) takes 1.0 s (2-vCPU VM, CPython 3.11).
+# in about 0.3 s, search(5, 20000) takes 0.15 s (2-vCPU VM, CPython 3.11).
 SEARCH_BOUND_BUDGET = 20_000
 
 
@@ -79,6 +83,21 @@ class BuchiSequence(Record):
             raise ValueError(f"{vs} is not a Buchi sequence")
         object.__setattr__(self, "values", vs)
 
+    @classmethod
+    def _certified(cls, values: tuple[int, ...]) -> "BuchiSequence":
+        """The sequence of a tuple of nonnegative ints, as search builds it:
+        not coerced or copied, but every second difference is checked."""
+        s, t, *rest = values
+        s, t = s * s, t * t
+        for u in rest:
+            u *= u
+            if s - 2 * t + u != 2:
+                raise ValueError(f"{values} is not a Buchi sequence")
+            s, t = t, u
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "values", values)
+        return seq
+
     def __len__(self) -> int:
         return len(self.values)
 
@@ -118,25 +137,32 @@ def _smallest_prime_factors(n: int) -> list[int]:
     return spf
 
 
-def _factor(k: int, spf: list[int], into: dict[int, int]) -> None:
-    while k > 1:
-        p = spf[k]
-        into[p] = into.get(p, 0) + 1
-        k //= p
-
-
-def _small_divisors(factors: dict[int, int], n: int) -> list[int]:
-    """The divisors e of n with e*e <= n, from n's factorization."""
-    divisors = [1]
-    for p, e in factors.items():
-        powers = [p ** i for i in range(e + 1)]
-        divisors = [d * q for d in divisors for q in powers]
-    return [d for d in divisors if d * d <= n]
+def _roots_of_unity(m: int, spf: list[int]) -> list[int]:
+    """The residues r mod m with r*r = 1 (mod m), for m < len(spf): +-1 mod
+    each odd prime power of m, and {1}, {1, 3} or {+-1, 2**(k-1) +- 1} mod
+    2, 4 or 2**k (k >= 3), joined by the Chinese remainder theorem."""
+    roots, mod = [0], 1
+    while m > 1:
+        p = q = spf[m]
+        m //= p
+        while m % p == 0:
+            m //= p
+            q *= p
+        residues = ((1,) if q == 2 else (1, q - 1) if p > 2 or q == 4
+                    else (1, q // 2 - 1, q // 2 + 1, q - 1))
+        # x = r (mod mod) and x = s (mod q) at x = r + mod*((s - r)/mod mod q).
+        inv = pow(mod, -1, q)
+        roots = [r + mod * ((s - r) * inv % q) for r in roots for s in residues]
+        mod *= q
+    return roots
 
 
 def search(length: int, bound: int) -> list[BuchiSequence]:
     """All nontrivial canonical sequences of the given length with
     0 <= x_1, x_2 <= bound, in increasing order of (x_1, x_2).
+
+    For each smaller factor e < bound it visits only the a in the window
+    of the three bounds, in the classes mod 2e that give f = e (mod 2).
 
     Refuses bounds above SEARCH_BOUND_BUDGET, a resource guard.
     """
@@ -146,30 +172,23 @@ def search(length: int, bound: int) -> list[BuchiSequence]:
         raise ValueError("bound must be >= 1")
     guard("SEARCH_BOUND_BUDGET", bound, SEARCH_BOUND_BUDGET, "search bound")
 
-    # x_1 <= bound and x_3**2 = 2 - x_1**2 + 2*x_2**2 <= 2*bound**2 + 2.
-    top = (bound + isqrt(2 * bound * bound + 2)) // 2 + 1
-    spf = _smallest_prime_factors(top + 1)
-    found: list[BuchiSequence] = []
-    for a in range(2, top + 1):
-        # The pairs e*f = a**2 - 1 with e = f (mod 2).  For even a, e and f
-        # are odd and divide n = (a-1)(a+1).  For odd a they are even, and
-        # the loop runs over e/2 * f/2 = n = ((a-1)/2)*((a+1)/2) instead.
-        # Either way n = lo*hi with lo, hi coprime.
-        if a % 2:
-            lo, scale = (a - 1) // 2, 1
-            hi = lo + 1
-        else:
-            lo, hi, scale = a - 1, a + 1, 2
-        factors: dict[int, int] = {}
-        _factor(lo, spf, factors)
-        _factor(hi, spf, factors)
-        n = lo * hi
-        for e in _small_divisors(factors, n):
-            f = n // e
-            x2, b = (e + f) // scale, (f - e) // scale
-            if x2 > bound or b > a:
+    spf = _smallest_prime_factors(2 * bound)
+    found: list[tuple[int, ...]] = []
+    for e in range(1, bound):
+        # f = (a**2 - 1)/e = e (mod 2): for odd e, a is even; for even e,
+        # 2e divides a**2 - 1.  Either way a is fixed mod 2e.
+        starts = ([r if r % 2 == 0 else r + e for r in _roots_of_unity(e, spf)]
+                  if e % 2 else _roots_of_unity(2 * e, spf))
+        step = 2 * e
+        # top < 3e, so each class mod 2e holds at most one a > e below it.
+        top = min(isqrt(step * bound - e * e + 1), e + isqrt(2 * e * e + 1))
+        for r in starts:
+            a = r if r > e else r + step
+            if a > top:
                 continue
-            for x1 in {a - b, a + b}:
+            f = (a * a - 1) // e
+            x2, b = (e + f) // 2, (f - e) // 2
+            for x1 in (a - b, a + b):
                 # |x_1 - x_2| = 1 exactly for the consecutive squares.
                 if x1 > bound or abs(x1 - x2) == 1:
                     continue
@@ -181,6 +200,6 @@ def search(length: int, bound: int) -> list[BuchiSequence]:
                         break
                     values.append(root)
                 else:
-                    found.append(BuchiSequence(values))
-    found.sort(key=lambda seq: seq.values)
-    return found
+                    found.append(tuple(values))
+    found.sort()
+    return [BuchiSequence._certified(values) for values in found]

@@ -20,7 +20,6 @@ from math import factorial, isqrt
 
 from . import Record, guard
 from .exact import as_fraction, is_square_int, is_square_rat
-from .symbolic import MPoly
 
 # Largest scans accepted (resource guards), from in-process times on a
 # 2-vCPU VM (CPython 3.11): the integer-node scan at height 5000 takes up
@@ -440,6 +439,7 @@ def conic_integrality_identity() -> bool:
     and that 2*x1*x2 + (d2**2 - x1**2 - x2**2) vanishes on the line
     x_1 = x_2 - d_2.  A failure raises; both are identities.
     """
+    from .symbolic import MPoly  # here, so that no `surface` command loads it
     c, d2, x1, x2 = MPoly.vars("c", "d2", "x1", "x2")
     lhs = (c ** 2 * x2 ** 2
            + c * (c - d2) * (d2 ** 2 - x1 ** 2 - x2 ** 2)

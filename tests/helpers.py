@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 from buchi import guard
 from buchi.reduction.compiler import CHECK_WORK_BUDGET, W_BOUND_BUDGET, EquisatReport
 from buchi.reduction.parser import Num, Pow, Product, Sum, Var, bounded_pow
-from buchi.sequences import search
+from buchi.sequences import BuchiSequence, _smallest_prime_factors, closed_form, search
 from buchi.symbolic import RatFunc, UPoly
 
 
@@ -73,6 +74,68 @@ def dense_poly(degree: int) -> str:
     """The dense expansion of a polynomial in z, term by term with
     coefficients other than 1, led by a negative one."""
     return "-" + "+".join(f"{k + 2}*z^{k}" for k in range(degree, -1, -1))
+
+
+# The factor-pair loop sequences.search ran over a before it ran over the
+# smaller factor e, kept as its oracle: for each a it factors a**2 - 1
+# and visits every factor pair, keeping those the bounds admit.
+
+def _factor(k: int, spf: list[int], into: dict[int, int]) -> None:
+    while k > 1:
+        p = spf[k]
+        into[p] = into.get(p, 0) + 1
+        k //= p
+
+
+def _small_divisors(factors: dict[int, int], n: int) -> list[int]:
+    """The divisors e of n with e*e <= n, from n's factorization."""
+    divisors = [1]
+    for p, e in factors.items():
+        powers = [p ** i for i in range(e + 1)]
+        divisors = [d * q for d in divisors for q in powers]
+    return [d for d in divisors if d * d <= n]
+
+
+def factor_pair_search(length: int, bound: int) -> list[BuchiSequence]:
+    """sequences.search by every factor pair of every a**2 - 1."""
+    # x_1 <= bound and x_3**2 = 2 - x_1**2 + 2*x_2**2 <= 2*bound**2 + 2.
+    top = (bound + isqrt(2 * bound * bound + 2)) // 2 + 1
+    spf = _smallest_prime_factors(top + 1)
+    found: list[BuchiSequence] = []
+    for a in range(2, top + 1):
+        # The pairs e*f = a**2 - 1 with e = f (mod 2).  For even a, e and f
+        # are odd and divide n = (a-1)(a+1).  For odd a they are even, and
+        # the loop runs over e/2 * f/2 = n = ((a-1)/2)*((a+1)/2) instead.
+        # Either way n = lo*hi with lo, hi coprime.
+        if a % 2:
+            lo, scale = (a - 1) // 2, 1
+            hi = lo + 1
+        else:
+            lo, hi, scale = a - 1, a + 1, 2
+        factors: dict[int, int] = {}
+        _factor(lo, spf, factors)
+        _factor(hi, spf, factors)
+        n = lo * hi
+        for e in _small_divisors(factors, n):
+            f = n // e
+            x2, b = (e + f) // scale, (f - e) // scale
+            if x2 > bound or b > a:
+                continue
+            for x1 in {a - b, a + b}:
+                # |x_1 - x_2| = 1 exactly for the consecutive squares.
+                if x1 > bound or abs(x1 - x2) == 1:
+                    continue
+                values = [x1, x2, 2 * a - x1]
+                for i in range(4, length + 1):
+                    sn = closed_form(x1 * x1, x2 * x2, i)
+                    root = isqrt(sn) if sn >= 0 else -1
+                    if root * root != sn:
+                        break
+                    values.append(root)
+                else:
+                    found.append(BuchiSequence(values))
+    found.sort(key=lambda seq: seq.values)
+    return found
 
 
 # Scalar oracles of the reduction's column kernels, each on one

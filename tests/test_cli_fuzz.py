@@ -29,9 +29,9 @@ from test_budgets import readme_table
 
 BUDGETS = readme_table()
 # CPU seconds one call may take.  The budgets are sized for about 1 s
-# in-process on a 2-vCPU VM, and their slowest admitted edges (seq search
-# at its bound, the rational scan at its grid edge) take 1.3-1.8 s there;
-# a call past twice that has a cost model that misses its work.
+# in-process on a 2-vCPU VM, and their slowest admitted edge (the rational
+# scan at its grid edge) takes 1.3-1.4 s there, seq search at its bound
+# 0.45 s; a call past twice that has a cost model that misses its work.
 DEADLINE = 2.0
 GUARD = re.compile(r"buchi: error: (?:line \d+, column \d+: )?\S.* (?:\d+|of \d+ bits) "
                    r"> (\w+) = (\d+) refused \(resource guard\)")

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from buchi.sequences import (SEARCH_BOUND_BUDGET, BuchiSequence,
-                             classify_trivial, closed_form, is_buchi, search,
-                             second_difference)
+from buchi.sequences import (SEARCH_BOUND_BUDGET, BuchiSequence, _roots_of_unity,
+                             _smallest_prime_factors, classify_trivial, closed_form,
+                             is_buchi, search, second_difference)
+from helpers import factor_pair_search
 
 
 def pair_search(length, bound):
@@ -203,6 +204,20 @@ class TestSearch:
                     (length, bound)
         assert len(search(3, 300)) == 581
 
+    def test_matches_factor_pair_loop_at_every_small_bound(self):
+        for length in range(3, 7):
+            for bound in range(1, 301):
+                assert search(length, bound) == factor_pair_search(length, bound), \
+                    (length, bound)
+
+    def test_matches_factor_pair_loop_at_large_bounds(self):
+        rng = random.Random(14)
+        for _ in range(12):
+            length, bound = rng.randint(3, 6), rng.randint(300, 5000)
+            assert search(length, bound) == factor_pair_search(length, bound), \
+                (length, bound)
+        assert search(5, 20000) == factor_pair_search(5, 20000) == []
+
     def test_trivial_exactly_when_first_two_differ_by_one(self):
         # every length-3 solution with x_1, x_2 <= 300, trivial ones included
         checked = 0
@@ -220,3 +235,29 @@ class TestSearch:
     def test_bound_budget(self):
         with pytest.raises(ValueError, match="resource guard"):
             search(3, SEARCH_BOUND_BUDGET + 1)
+
+
+class TestKernelHelpers:
+    def test_roots_of_unity_match_brute_force(self):
+        # r*r = 1 (mod m) read as m | r*r - 1, so that mod 1 the root is 0
+        spf = _smallest_prime_factors(3000)
+        for m in range(1, 3001):
+            assert sorted(_roots_of_unity(m, spf)) == \
+                [r for r in range(m) if (r * r - 1) % m == 0], m
+
+    def test_roots_of_unity_at_powers_of_two(self):
+        spf = _smallest_prime_factors(3000)
+        assert _roots_of_unity(1, spf) == [0]
+        assert _roots_of_unity(2, spf) == [1]
+        assert sorted(_roots_of_unity(4, spf)) == [1, 3]
+        assert sorted(_roots_of_unity(8, spf)) == [1, 3, 5, 7]
+        # 2**k * odd: four roots mod 8 times four mod 15
+        assert sorted(_roots_of_unity(8 * 15, spf)) == \
+            [1, 11, 19, 29, 31, 41, 49, 59, 61, 71, 79, 89, 91, 101, 109, 119]
+
+    def test_certified_checks_every_second_difference(self):
+        seq = BuchiSequence._certified((6, 23, 32, 39))
+        assert seq == BuchiSequence((6, 23, 32, 39))
+        for values in ([1, 2, 4], (6, 23, 32, 40), [6, 23, 32, 39, 45]):
+            with pytest.raises(ValueError, match="not a Buchi sequence"):
+                BuchiSequence._certified(values)
