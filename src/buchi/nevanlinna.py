@@ -364,9 +364,9 @@ def check_smt(f, targets, p: int, rhos) -> SmtReport:
     fas = [_padic(_minus(f, a), p) for a in ts]
 
     def value(r: Fraction) -> Fraction:
-        # sum_i m(f, a_i) - N(f, inf)
-        return (sum(_log_plus(den.log_norm(r) - fa.log_norm(r)) for fa in fas)
-                - den.height(r))
+        # sum_i m(f, a_i) - N(f, inf), reading den once per radius
+        log_den, height = den.log_norm(r), den.height(r)
+        return sum(_log_plus(log_den - fa.log_norm(r)) for fa in fas) - height
 
     bound = _eventual_bound([den, *fas], [(fa, den) for fa in fas])
     values = tuple(value(r) for r in grid)

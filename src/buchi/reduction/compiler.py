@@ -24,9 +24,9 @@ emitted artifact carries that conditionality in its metadata.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
-from itertools import chain, compress, islice, product
-from operator import not_
+from collections.abc import Iterable, Sequence
+from itertools import chain, compress, islice, product, repeat
+from operator import add, not_
 
 from .. import Record, guard
 from .formulas import check_m
@@ -47,25 +47,29 @@ GADGET_BUDGET = 100_000
 # through (source tokens, a bound on the nodes evaluate visits, trace
 # steps, linear and square equations) times the assignments plus
 # BLOCK_COST per block of them, for the fixed part a block costs each
-# unit: measured, 14 rows on x*y = z and 20 on a target of one row per
-# block, where x = z*z*...*z (4095 factors) took 2.2 s at box 1.  Box 18
-# on x*y = z ((50,653 + 8 * 236) * 74 = 3.9 * 10**6) takes 0.2 s
-# in-process, x = (a+1)^2+...+(a+10)^2 at M = 1000 and box 1 0.36 s, and
-# one row per block at most about 0.5 s (2-vCPU VM, CPython 3.11).  Every
-# source has at least 4 tokens, the end of input counted, so the budget
-# also caps the assignments at 10**6.
+# unit (measured, about 13 rows on x*y = z), so that a target of one row
+# per block, as x = z*z*...*z (4095 factors), which takes 1.9 s at box 1,
+# is refused.  The units count every trace step at every assignment,
+# though check runs most of them only where the first equations hold.
+# Box 18 on x*y = z ((50,653 + 8 * 31) * 74 = 3.8 * 10**6) takes 0.05 s
+# in-process, x = (a+1)^2+...+(a+10)^2 at M = 1000 and box 1 0.09 s, and
+# one row per block at most about 0.8 s, on 0 = z*z*...*z (3000 factors)
+# at box 1 (2-vCPU VM, CPython 3.11, through cli.main).  Every source has
+# at least 4 tokens, the end of input counted, so the budget also caps
+# the assignments at 10**6.
 CHECK_WORK_BUDGET = 4_000_000
 BLOCK_COST = 8
 # Largest --box and most source variables bounded_equisat accepts.
 MAX_BOX = 50
 MAX_SOURCE_VARS = 4
-# Values (rows times target variables) of one block of assignments, which
-# bounded_equisat runs through the trace together; a block has at least
-# one row.  Larger blocks run faster and take more memory: on
-# tests/golden/cubic.dioph at box 7 (206 variables), 2**12, 2**13, 2**14
-# and 2**16 cells took 0.089, 0.075, 0.066 and 0.057 s in-process, and
-# check peaked at 17.1, 16.7, 16.8 and 17.8 MB RSS (2-vCPU VM, CPython
-# 3.11).
+# Values of one block of assignments, rows times the columns held at
+# every row (check_schedule's block_rows), which bounded_equisat runs
+# through the trace together; a block has at least one row.  Larger
+# blocks take more memory: on tests/golden/cubic.dioph at box 7 (35 such
+# columns of 206 variables), 2**12, 2**13, 2**14 and 2**16 cells took
+# 0.018-0.025, 0.017-0.022, 0.016-0.021 and 0.019-0.022 s in-process,
+# and check peaked at 15.6-16.0, 15.7-16.3, 16.0-16.4 and 17.1-17.6 MB
+# RSS (2-vCPU VM, CPython 3.11).
 BLOCK_CELLS = 2 ** 13
 
 
@@ -77,6 +81,11 @@ class SquareEq(Record):
     def __init__(self, lhs: str, rhs: str):
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
+
+    def residual(self, env: dict[str, Sequence[int]], rows: Sequence[int]) -> list[int]:
+        """lhs - rhs**2 at each of rows, as LinearEq.residual."""
+        lhs, rhs = env[self.lhs], env[self.rhs]
+        return [lhs[i] - rhs[i] ** 2 for i in rows]
 
 
 class TargetSystem(Record):
@@ -91,22 +100,32 @@ class TargetSystem(Record):
         return {v: column[0] for v, column in env.items()}
 
     def satisfied(self, env: dict[str, int]) -> bool:
-        return bool(self.satisfied_rows({v: (x,) for v, x in env.items()}, range(1)))
+        return bool(self.satisfied_rows({v: (x,) for v, x in env.items()}, 1))
 
-    def satisfied_rows(self, env: dict[str, Sequence[int]],
-                       rows: Sequence[int]) -> list[int]:
-        """The rows, of rows (ascending indices into env's columns), at
-        which env satisfies every equation.  Each equation is checked only
-        at the rows that satisfy the ones before it; the equalities come
-        first, so after them only solutions are left to check."""
-        for eq in self.linear:
-            if not rows:
-                return []
-            rows = list(compress(rows, map(not_, eq.residual(env, rows))))
-        for sq in self.squares:
-            lhs, rhs = env[sq.lhs], env[sq.rhs]
-            rows = [i for i in rows if lhs[i] == rhs[i] ** 2]
-        return rows
+    def satisfied_rows(self, env: dict[str, Sequence[int]], rows: int,
+                       needs: Iterable[tuple] = repeat(())) -> list[int]:
+        """The rows, ascending indices into env's columns of `rows` values,
+        at which the target holds.  The equations are checked in order,
+        linear then square, each only at the rows that satisfy the ones
+        before it; the equalities come first, so after them only solutions
+        are left to check.  needs, from a CheckSchedule, holds for each
+        equation the steps run_trace assigns before it is checked; without
+        them env must hold every variable.  When rows drop, env's columns
+        are compressed to the rows left."""
+        alive = every = range(rows)
+        for steps, eq in zip(needs, chain(self.linear, self.squares)):
+            if steps:
+                run_trace(steps, env, len(every))
+            residual = eq.residual(env, every)
+            if any(residual):
+                keep = list(map(not_, residual))
+                alive = list(compress(alive, keep))
+                if not alive:
+                    break
+                every = range(len(alive))
+                for v, column in env.items():
+                    env[v] = tuple(compress(column, keep))
+        return list(alive)
 
     def to_json(self) -> str:
         payload = {
@@ -300,36 +319,83 @@ class EquisatReport(Record):
                 and self.nontrivial_gadget_sequences == 0)
 
 
+class CheckSchedule(Record):
+    """How bounded_equisat runs a target's trace on a block of rows.
+
+    shared: the steps run at every row, those the first equation needs and
+    those that assign a value t some gadget witness shifts.  needs: for
+    each equation in order, linear then square, the steps it needs that no
+    step before it assigned, in trace order.  shifts: (t, least, greatest
+    shift constant) for each shifted t.  block_rows: the rows of a block,
+    BLOCK_CELLS over the columns held at every row (the source variables
+    and shared's), and at least one."""
+
+    __slots__ = ("shared", "needs", "shifts", "block_rows")
+
+
+def check_schedule(target: TargetSystem) -> CheckSchedule:
+    """The schedule bounded_equisat runs target's trace by."""
+    trace = target.trace
+    pending = {step[1]: i for i, step in enumerate(trace)}
+    disjoint = pending.keys().isdisjoint
+
+    def needed(variables) -> tuple:
+        # the steps, in trace order, that force variables and that no
+        # earlier call returned
+        if disjoint(variables):
+            return ()
+        stack, found = [*variables], []
+        while stack:
+            i = pending.pop(stack.pop(), None)
+            if i is not None:
+                found.append(i)
+                stack += trace[i][2:]
+        found.sort()
+        return tuple([trace[i] for i in found])
+
+    constants: dict[str, list[int]] = {}
+    for step in trace:
+        if step[0] == "shift":
+            constants.setdefault(step[2], []).append(step[3])
+    shifts = tuple((t, min(cs), max(cs)) for t, cs in constants.items())
+    first = target.linear[0].coeffs if target.linear else ()
+    shared = needed([*first, *constants])
+    needs = (*[needed(eq.coeffs) for eq in target.linear],
+             *[needed((sq.lhs, sq.rhs)) for sq in target.squares])
+    width = len(target.source_vars) + len(shared)
+    return CheckSchedule(shared=shared, needs=needs, shifts=shifts,
+                         block_rows=max(1, BLOCK_CELLS // width))
+
+
 def bounded_equisat(system: SourceSystem, target: TargetSystem, box: int) -> EquisatReport:
     """Enumerate all source assignments in [-box, box]^k and check both
     directions of the correspondence at desk scale.  Refuses before
     enumerating when the work exceeds CHECK_WORK_BUDGET, and at once a box
     where some gadget witness exceeds W_BOUND_BUDGET.
 
-    The assignments run in product order, in blocks of BLOCK_CELLS values
-    of the target variables: each block is one column per variable, and
-    each equation is checked only at the rows that satisfy the ones
-    before it."""
+    The assignments run in product order, in blocks of the target's
+    check_schedule(target).block_rows: each block is one column per
+    variable, and its trace runs on demand, each equation's steps only
+    at the rows that satisfy the equations before it (_check_block)."""
     if box < 1:
         raise ValueError("box must be >= 1")
     guard("MAX_BOX", box, MAX_BOX, "box")
     k = len(system.variables)
     guard("MAX_SOURCE_VARS", k, MAX_SOURCE_VARS, "source variables")
-    block_rows = max(1, BLOCK_CELLS // len(target.variables))
+    schedule = check_schedule(target)
     count = (2 * box + 1) ** k
-    work = (count + BLOCK_COST * -(-count // block_rows)) * (
+    work = (count + BLOCK_COST * -(-count // schedule.block_rows)) * (
         system.size + len(target.trace) + len(target.linear) + len(target.squares))
     guard("CHECK_WORK_BUDGET", work, CHECK_WORK_BUDGET, "check work")
     assignments = product(range(-box, box + 1), repeat=k)
-    w_vars = [step[1] for step in target.trace if step[0] == "shift"]
     solutions: list[dict[str, int]] = []
     lifted = 0
     agreements = 0
     total = 0
     w_bound = 0
 
-    while block := list(islice(assignments, block_rows)):
-        sat, holds, largest_w = _check_block(system, target, block, w_vars)
+    while block := list(islice(assignments, schedule.block_rows)):
+        sat, holds, largest_w = _check_block(system, target, schedule, block)
         agreements += len(block) - len(set(sat).symmetric_difference(holds))
         lifted += len(set(sat).intersection(holds))
         solutions.extend(dict(zip(system.variables, block[i])) for i in sat)
@@ -337,7 +403,7 @@ def bounded_equisat(system: SourceSystem, target: TargetSystem, box: int) -> Equ
         w_bound = max(w_bound, largest_w)
 
     nontrivial = 0
-    if w_vars:
+    if schedule.shifts:
         from .. import sequences  # only this certificate needs the search
         found = sequences.search(target.buchi_m, max(w_bound, 1))
         nontrivial = len(found)
@@ -351,24 +417,36 @@ def bounded_equisat(system: SourceSystem, target: TargetSystem, box: int) -> Equ
                          nontrivial_gadget_sequences=nontrivial)
 
 
-def _check_block(system: SourceSystem, target: TargetSystem, block: list[tuple],
-                 w_vars: list[str]) -> tuple[list[int], list[int], int]:
+def _check_block(system: SourceSystem, target: TargetSystem, schedule: CheckSchedule,
+                 block: list[tuple]) -> tuple[list[int], list[int], int]:
     """For a block of source assignments: the rows that solve the source,
     the rows whose forced extension satisfies the target, and the largest
-    gadget witness |w|.  A |w| above W_BOUND_BUDGET is refused at the
-    first row that has one, with that row's largest |w|, as a running
-    maximum over the assignments in order would be."""
+    gadget witness |w|.  Only the schedule's shared steps run at every
+    row; the rest run where the equations before them hold.  A |w| above
+    W_BOUND_BUDGET is refused at the first row that has one, with that
+    row's largest |w|, as a running maximum over the assignments in order
+    would be."""
     rows = len(block)
     columns = dict(zip(system.variables, zip(*block)))
     sat = _solution_rows(system, columns, rows)
-    env = run_trace(target.trace, columns, rows)
-    holds = target.satisfied_rows(env, range(rows))
-    w_columns = [env[w] for w in w_vars]
-    largest = max(map(abs, chain.from_iterable(w_columns)), default=0)
+    env = run_trace(schedule.shared, columns, rows)
+    largest = _witness_bound(env, schedule.shifts)
     if largest > W_BOUND_BUDGET:
-        for row in zip(*w_columns):
+        # a row's largest |w| is at its t's least or greatest shift
+        ends = [tuple(map(add, env[t], repeat(c)))
+                for t, least, greatest in schedule.shifts for c in (least, greatest)]
+        for row in zip(*ends):
             guard("W_BOUND_BUDGET", max(map(abs, row)), W_BOUND_BUDGET, "gadget witness bound")
-    return sat, holds, largest
+    return sat, target.satisfied_rows(env, rows, schedule.needs), largest
+
+
+def _witness_bound(env: dict[str, Sequence[int]], shifts: Sequence[tuple]) -> int:
+    """The largest |t + c| over the rows of env's columns, for each (t,
+    least, greatest) of shifts and c from least to greatest: |x + c| is
+    convex, so it is largest at t's least or greatest value, shifted by
+    least or greatest."""
+    return max((max(abs(min(env[t]) + least), abs(max(env[t]) + greatest))
+                for t, least, greatest in shifts), default=0)
 
 
 def _solution_rows(system: SourceSystem, columns: dict[str, Sequence[int]],

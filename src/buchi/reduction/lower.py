@@ -16,8 +16,11 @@ with c an integer constant.  run_trace is the one interpreter of this
 format; the three-address program, the elimination trace and the
 square gadgets all use it.  It runs on columns: each variable holds its
 values at a block of assignments, one per row, and each step is one map
-over its operand columns, so a block of rows costs one pass of the
-interpreter over the trace.  A single assignment is a block of one row.
+over its operand columns.  It runs any run of steps whose operands are
+assigned, so a caller can run part of a trace on some rows and the rest
+on fewer: compiler.bounded_equisat runs each step only at the rows that
+satisfy the equations before the first one that needs it.  A single
+assignment is a block of one row.
 
 Three-address form uses the first four step shapes over integer
 variables, plus equality constraints between variables.  A step is read

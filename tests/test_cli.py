@@ -437,6 +437,15 @@ class TestCompileCheck:
         assert code == 0, err
         assert out == (GOLDEN / "cubic.box7.json").read_text(encoding="utf-8")
 
+    def test_golden_check_failing_json(self, capsys):
+        # at M = 3, with gadget values t from -30 to 420, the witness bound
+        # is 422 and the gadget certificate fails: the report printed when
+        # the whole trace ran at every row
+        code, out, err = run(capsys, "check", "--in", str(GOLDEN / "mixed.dioph"),
+                             "--m", "3", "--box", "10", "--json")
+        assert code == 0, err
+        assert out == (GOLDEN / "mixed.m3.box10.json").read_text(encoding="utf-8")
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         src = tmp_path / "sys.dioph"
         src.write_text("x + = 3\n")

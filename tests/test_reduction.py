@@ -2,16 +2,17 @@ import random
 import re
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from buchi import sequences
-from buchi.reduction import (ParseError, TACProgram, bounded_equisat,
-                             compile_system, eliminate_mul, encode_square,
-                             evaluate, expand, lower_tac, parse, parse_poly,
-                             print_formulas, run_trace, translate_witness,
+from buchi.reduction import (LinearEq, ParseError, SquareEq, TACProgram, TargetSystem,
+                             bounded_equisat, compile_system, compiler, eliminate_mul,
+                             encode_square, evaluate, expand, lower_tac, parse,
+                             parse_poly, print_formulas, run_trace, translate_witness,
                              validate_target)
-from buchi.reduction.compiler import BLOCK_CELLS
+from buchi.reduction.compiler import _witness_bound, check_schedule
 from buchi.reduction.parser import (MAX_CONSTANT_BITS, MAX_DEPTH, MAX_POLY_DEGREE,
                                     MAX_TOKENS, Num, Pow, Product, Sum, Var, tokenize)
 from buchi.surfaces import BuchiSurface, surface_equations
@@ -563,27 +564,29 @@ class TestBlockEquisat:
 
     def test_random_systems(self):
         rng = random.Random(1107)
-        boxes = {0: 7, 1: 7, 2: 7, 3: 4, 4: 2}  # the oracle's time bounds the box
+        boxes = {0: 7, 1: 7, 2: 7, 3: 5, 4: 3}  # the oracle's time bounds the box
         found = multiblock = 0
         for _ in range(120):
             text = rand_system_text(rng, max_vars=4)
             box = rng.randint(1, boxes[len(parse(text).variables)])
             report, target = self.agree(text, rng.choice((3, 5)), box)
             found += report["source_solutions"]
-            multiblock += report["assignments"] > BLOCK_CELLS // len(target.variables)
+            multiblock += report["assignments"] > check_schedule(target).block_rows
         assert found > 0 and multiblock >= 10
 
     def test_block_size_does_not_divide_the_assignments(self):
-        report, target = self.agree("x*y = 6; x + y = 5", 5, 10)
-        rows = BLOCK_CELLS // len(target.variables)
+        report, target = self.agree("x*y = 6; x + y = 5", 5, 25)
+        rows = check_schedule(target).block_rows
         assert report["assignments"] % rows != 0 and report["assignments"] > rows
         assert report["source_solutions"] == 2
 
     def test_one_row_blocks(self):
-        text = "x = " + "+".join(f"(a+{i})^2" for i in range(1, 11))
+        # the constant's doubling chain is the first equation's, so its
+        # more than BLOCK_CELLS columns are held at every row
+        text = f"{3 ** 8000}*a + " + "+".join(f"(a+{i})^2" for i in range(1, 11)) + " = 385"
         report, target = self.agree(text, 1000, 1)
-        assert BLOCK_CELLS // len(target.variables) == 0
-        assert report["assignments"] == 9
+        assert check_schedule(target).block_rows == 1
+        assert report["assignments"] == 3 and report["solutions"] == [{"a": 0}]
 
     def test_witness_bound_refusal(self):
         # the first row, a = b = -3, already has a witness above the
@@ -617,6 +620,106 @@ class TestBlockEquisat:
             for check in (bounded_equisat, scalar_bounded_equisat):
                 with pytest.raises(ValueError, match="resource guard"):
                     check(system, target, box)
+
+
+class TestScheduledTrace:
+    """bounded_equisat runs a target's trace on demand (check_schedule).
+    A compiled target fails, if at all, at its equalities; the tampered
+    targets here fail after them, so the steps scheduled for later
+    equations run and rows drop part of the way through a block."""
+
+    # sources with many solutions in a box of 3
+    TEXTS = ("x*y = z", "x^2 + y = z", "x*y - z*z = 2*x", "(x - y)^2 = z + y")
+
+    @staticmethod
+    def tampered(target: TargetSystem, **fields) -> TargetSystem:
+        return TargetSystem(**{name: fields.get(name, getattr(target, name))
+                               for name in target.__slots__})
+
+    def tamperings(self, system, target: TargetSystem, rng):
+        """Targets that differ from target in one equation after its
+        equalities: a linear constant bumped, two squares' witnesses
+        swapped, or a second difference u3 - 2*u2 + u1 made u3 - 2*u2 + 2*u1."""
+        linear, squares = list(target.linear), list(target.squares)
+        later = range(len(lower_tac(system).equalities), len(linear))
+        for i in rng.sample(later, 3):
+            eq = linear[i]
+            yield self.tampered(target, linear=(*linear[:i], LinearEq(eq.coeffs, eq.const + 1),
+                                                *linear[i + 1:]))
+        i, j = sorted(rng.sample(range(len(squares)), 2))
+        swapped = list(squares)
+        swapped[i] = SquareEq(squares[i].lhs, squares[j].rhs)
+        swapped[j] = SquareEq(squares[j].lhs, squares[i].rhs)
+        yield self.tampered(target, squares=tuple(swapped))
+        differences = [i for i, eq in enumerate(linear)
+                       if eq.const == -2 and sorted(eq.coeffs.values()) == [-2, 1, 1]]
+        i = rng.choice(differences)
+        coeffs = dict(linear[i].coeffs)
+        coeffs[list(coeffs)[-1]] = 2
+        yield self.tampered(target, linear=(*linear[:i], LinearEq(coeffs, -2), *linear[i + 1:]))
+
+    def test_tampered_targets_agree_with_the_oracle(self):
+        rng = random.Random(1511)
+        checked = failed_later = partly = 0
+        for text in self.TEXTS:
+            system = parse(text)
+            for m in (3, 5):
+                for target in self.tamperings(system, compile_system(system, m=m), rng):
+                    report = _equisat_outcome(bounded_equisat, system, target, 3)
+                    assert report == _equisat_outcome(scalar_bounded_equisat, system, target, 3)
+                    checked += 1
+                    failed_later += report["lifted"] < report["source_solutions"]
+                    partly += 0 < report["lifted"] < report["source_solutions"]
+        assert failed_later == checked == 40 and partly >= 10
+
+    def test_gadget_steps_run_only_where_the_equalities_hold(self, monkeypatch):
+        text = (Path(__file__).parent / "golden" / "cubic.dioph").read_text(encoding="utf-8")
+        system = parse(text)
+        target = compile_system(system)
+        gadget = {step[1] for step in target.trace if step[0] == "shift"}
+        gadget |= {sq.lhs for sq in target.squares}
+        ran = dict.fromkeys(gadget, 0)
+        run_trace = compiler.run_trace
+
+        def counted(steps, env, rows):
+            for step in steps:
+                if step[1] in ran:
+                    ran[step[1]] += rows
+            return run_trace(steps, env, rows)
+
+        monkeypatch.setattr(compiler, "run_trace", counted)
+        report = bounded_equisat(system, target, 7)
+        assert report.passed and report.source_solutions == 1
+        assert len(ran) == 130 and set(ran.values()) == {1}
+
+    def test_witness_bound_from_ranges(self):
+        # the bound from each t's least and greatest value is max |w| over
+        # every shift column built in full, t negative or not
+        rng = random.Random(73)
+        for _ in range(60):
+            system = parse(rand_system_text(rng))
+            target = compile_system(system, m=rng.randint(3, 7))
+            schedule = check_schedule(target)
+            rows = rng.randint(1, 20)
+            columns = {v: tuple(rng.randint(-30, 30) for _ in range(rows))
+                       for v in system.variables}
+            full = run_trace(target.trace, dict(columns), rows)
+            widest = max((abs(w) for step in target.trace if step[0] == "shift"
+                          for w in full[step[1]]), default=0)
+            env = run_trace(schedule.shared, dict(columns), rows)
+            assert _witness_bound(env, schedule.shifts) == widest, system
+        for _ in range(200):
+            constants = rng.sample(range(-40, 40), rng.randint(1, 6))
+            trace = tuple(("shift", f"w{i}", "t", c) for i, c in enumerate(constants))
+            target = TargetSystem(source_vars=("t",), variables=("t", *(s[1] for s in trace)),
+                                  linear=(), squares=(), buchi_m=3, meta={}, trace=trace,
+                                  counters={})
+            column = tuple(rng.randint(-100, 60) for _ in range(rng.randint(1, 9)))
+            full = run_trace(trace, {"t": column}, len(column))
+            widest = max(abs(w) for step in trace for w in full[step[1]])
+            schedule = check_schedule(target)
+            assert schedule.shared == ()
+            assert _witness_bound({"t": column}, schedule.shifts) == widest
 
 
 class TestEquisatGuards:
