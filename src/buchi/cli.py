@@ -34,11 +34,17 @@ def _rat_list(text: str) -> list:
     return [_rat(part) for part in text.split(",") if part != ""]
 
 
-def _int_list(text: str) -> list[int]:
+def _numbers(text: str) -> list[str]:
+    """The numbers of a comma-separated list, unconverted, refused when one
+    has more than MAX_ARG_DIGITS characters."""
     parts = [part for part in text.split(",") if part != ""]
     guard("MAX_ARG_DIGITS", max(map(len, parts), default=0), MAX_ARG_DIGITS,
           "characters of a number")
-    return [int(part) for part in parts]
+    return parts
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(part) for part in _numbers(text)]
 
 
 def _emit(args, payload: dict, human) -> None:
@@ -175,9 +181,9 @@ def _cmd_padic_zeros(args) -> int:
 def _cmd_padic_pjf(args) -> int:
     from . import nevanlinna
     f = _ratfunc(args)
-    rhos = _rat_list(args.rhos)
+    rhos = _numbers(args.rhos)  # check_pjf refuses too many before converting them
     constant = nevanlinna.check_pjf(f, args.p, rhos)
-    payload = {"p": args.p, "rhos": [str(r) for r in rhos], "constant": str(constant)}
+    payload = {"p": args.p, "rhos": [str(_rat(r)) for r in rhos], "constant": str(constant)}
     _emit(args, payload, f"C = {constant}")
     return 0
 
@@ -194,7 +200,7 @@ def _cmd_padic_ldl(args) -> int:
 def _cmd_padic_fmt(args) -> int:
     from . import nevanlinna
     f = _ratfunc(args)
-    report = nevanlinna.check_fmt(f, _rat(args.a), args.p, _rat_list(args.rhos))
+    report = nevanlinna.check_fmt(f, _rat(args.a), args.p, _numbers(args.rhos))
     payload = {"p": args.p, "a": args.a,
                "grid": [str(r) for r in report.grid],
                "defects": [str(v) for v in report.values],
@@ -213,7 +219,7 @@ def _cmd_padic_smt(args) -> int:
     from . import nevanlinna
     f = _ratfunc(args)
     report = nevanlinna.check_smt(f, _rat_list(args.targets), args.p,
-                                  _rat_list(args.rhos))
+                                  _numbers(args.rhos))
     payload = {"p": args.p,
                "targets": [str(t) for t in report.targets],
                "grid": [str(r) for r in report.grid],

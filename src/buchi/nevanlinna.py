@@ -217,6 +217,33 @@ def prox_m(f, target, p: int, rho) -> Fraction:
     return _log_plus(_padic(f.den, p).log_norm(r) - _padic(h, p).log_norm(r))
 
 
+# Largest (radii + 20) * (weight * (degree + 40) + 240) that check_pjf,
+# check_fmt and check_smt evaluate (resource guard), the degree being the
+# larger of f's numerator and denominator, and the weight the polynomials
+# each reads at every radius besides the denominator: the numerator for
+# pjf, the numerator and f - a for fmt, and f - a for each target of smt.
+# A reading costs about degree + 40 steps, each radius about 240 steps of
+# its own (converting, sorting and printing it), and each polynomial is
+# also read at two samples past the grid, with its Newton polygon costing
+# about 18 readings more.  Over 1,500 radii (2-vCPU VM, CPython 3.11,
+# in-process through cli.main, dense (z+1)**d over z+2) a radius took
+# 20-23 us at degree 1 and 48-50 us at degree 200 for pjf and one smt
+# target, 34 and 67 us for fmt, and 63 and 224 us for 10 smt targets.
+# At this budget one smt target at degree 200 has the edge 16,646 radii.
+RADII_BUDGET = 8_000_000
+
+
+def _radii(weight: int, rhos, f: RatFunc) -> list[Fraction]:
+    """rhos as Fractions, refused before any is converted beyond
+    RADII_BUDGET for a check that reads weight polynomials of f's degree
+    besides its denominator at each radius."""
+    rhos = list(rhos)
+    degree = max(f.num.degree, f.den.degree)
+    guard("RADII_BUDGET", (len(rhos) + 20) * (weight * (degree + 40) + 240), RADII_BUDGET,
+          "(radii + 20) * (weight * (degree + 40) + 240)")
+    return [as_fraction(r) for r in rhos]
+
+
 def check_pjf(f, p: int, rhos) -> Fraction:
     """The constant log|f| - N(f,0) + N(f,inf), checked to be the same at
     every given radius (at least two).  Raises ArithmeticError naming the
@@ -224,7 +251,7 @@ def check_pjf(f, p: int, rhos) -> Fraction:
     f = _as_ratfunc(f)
     if f.is_zero:
         raise ValueError("zero function")
-    grid = [as_fraction(r) for r in rhos]
+    grid = _radii(1, rhos, f)
     if len(grid) < 2:
         raise ValueError("need at least 2 radii")
     num, den = _padic(f.num, p), _padic(f.den, p)
@@ -299,7 +326,7 @@ def check_fmt(f, a, p: int, rhos) -> FmtReport:
     if f.is_constant:
         raise ValueError("f must be nonconstant")
     a = as_fraction(a)
-    grid = tuple(sorted(as_fraction(r) for r in rhos))
+    grid = tuple(sorted(_radii(2, rhos, f)))
     if not grid:
         raise ValueError("empty radius grid")
     num, den, fa = (_padic(h, p) for h in (f.num, f.den, _minus(f, a)))
@@ -318,17 +345,6 @@ def check_fmt(f, a, p: int, rhos) -> FmtReport:
                      stable_beyond=bound,
                      eventual_slope=v2 - v1,
                      eventual_value=v1)
-
-
-# Largest targets * (radii + 20) * (degree + 40) that check_smt evaluates
-# (resource guard), the degree being the larger of f's numerator and
-# denominator.  Each target reads f - a at every radius and at two samples
-# past the grid, and its Newton polygon costs about 18 readings more; a
-# reading costs about degree + 40 steps.  At this budget (2-vCPU VM,
-# CPython 3.11, in-process through cli.main) dense inputs of degree 1 to
-# 200 took 0.55-0.75 s on 10 or 100 targets, and 0.2-0.5 s on one radius
-# with as many targets as it admits.
-SMT_GRID_BUDGET = 4_000_000
 
 
 class SmtReport(Record):
@@ -354,12 +370,9 @@ def check_smt(f, targets, p: int, rhos) -> SmtReport:
         raise ValueError("targets must be distinct")
     if not ts:
         raise ValueError("need at least one target")
-    grid = tuple(sorted(as_fraction(r) for r in rhos))
+    grid = tuple(sorted(_radii(len(ts), rhos, f)))
     if not grid:
         raise ValueError("empty radius grid")
-    guard("SMT_GRID_BUDGET",
-          len(ts) * (len(grid) + 20) * (max(f.num.degree, f.den.degree) + 40),
-          SMT_GRID_BUDGET, "targets * (radii + 20) * (degree + 40)")
     den = _padic(f.den, p)
     fas = [_padic(_minus(f, a), p) for a in ts]
 

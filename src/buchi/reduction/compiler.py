@@ -26,12 +26,12 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Sequence
 from itertools import chain, compress, islice, product, repeat
-from operator import add, not_
+from operator import add, mul, not_, sub
 
 from .. import Record, guard
 from .formulas import check_m
 from .lower import LinearEq, eliminate_mul, lower_tac, run_trace
-from .parser import SourceSystem, evaluate
+from .parser import SourceSystem
 
 
 # Largest gadget witness |w| bounded_equisat certifies.  Its certificate
@@ -82,10 +82,10 @@ class SquareEq(Record):
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
 
-    def residual(self, env: dict[str, Sequence[int]], rows: Sequence[int]) -> list[int]:
-        """lhs - rhs**2 at each of rows, as LinearEq.residual."""
-        lhs, rhs = env[self.lhs], env[self.rhs]
-        return [lhs[i] - rhs[i] ** 2 for i in rows]
+    def residual(self, env: dict[str, Sequence[int]], rows: int) -> list[int]:
+        """lhs - rhs**2 at each of env's `rows` rows, as LinearEq.residual."""
+        rhs = env[self.rhs]
+        return list(map(sub, env[self.lhs], map(mul, rhs, rhs)))
 
 
 class TargetSystem(Record):
@@ -100,32 +100,8 @@ class TargetSystem(Record):
         return {v: column[0] for v, column in env.items()}
 
     def satisfied(self, env: dict[str, int]) -> bool:
-        return bool(self.satisfied_rows({v: (x,) for v, x in env.items()}, 1))
-
-    def satisfied_rows(self, env: dict[str, Sequence[int]], rows: int,
-                       needs: Iterable[tuple] = repeat(())) -> list[int]:
-        """The rows, ascending indices into env's columns of `rows` values,
-        at which the target holds.  The equations are checked in order,
-        linear then square, each only at the rows that satisfy the ones
-        before it; the equalities come first, so after them only solutions
-        are left to check.  needs, from a CheckSchedule, holds for each
-        equation the steps run_trace assigns before it is checked; without
-        them env must hold every variable.  When rows drop, env's columns
-        are compressed to the rows left."""
-        alive = every = range(rows)
-        for steps, eq in zip(needs, chain(self.linear, self.squares)):
-            if steps:
-                run_trace(steps, env, len(every))
-            residual = eq.residual(env, every)
-            if any(residual):
-                keep = list(map(not_, residual))
-                alive = list(compress(alive, keep))
-                if not alive:
-                    break
-                every = range(len(alive))
-                for v, column in env.items():
-                    env[v] = tuple(compress(column, keep))
-        return list(alive)
+        return bool(filter_rows(chain(self.linear, self.squares),
+                                {v: (x,) for v, x in env.items()}, 1))
 
     def to_json(self) -> str:
         payload = {
@@ -166,20 +142,17 @@ class GadgetBlock(Record):
     __slots__ = ("variables", "linear", "squares", "trace")
 
 
-def encode_square(t: str, q: str, m: int,
-                  u_names: list[str] | None = None,
-                  w_names: list[str] | None = None) -> GadgetBlock:
+def encode_square(t: str, q: str, m: int, first: int) -> GadgetBlock:
     """Second-difference gadget tying q to t**2 through M square witnesses.
 
     Emits M SQUARE equations u_i = w_i**2, the M-2 second-difference
-    equations, and the two linear ties q = u_1 and u_2 - u_1 = 2t + 1.
+    equations, and the two linear ties q = u_1 and u_2 - u_1 = 2t + 1,
+    with u_1..u_M named _u<first>.._u<first+M-1>, and the w_i alike.
     """
     if m < 3:
         raise ValueError("gadget length must be >= 3")
-    us = u_names if u_names is not None else [f"u{i}" for i in range(1, m + 1)]
-    ws = w_names if w_names is not None else [f"w{i}" for i in range(1, m + 1)]
-    if len(us) != m or len(ws) != m:
-        raise ValueError("need exactly m names for u and for w")
+    us = [f"_u{first + i}" for i in range(m)]
+    ws = [f"_w{first + i}" for i in range(m)]
     squares = tuple(SquareEq(u, w) for u, w in zip(us, ws))
     linear = []
     for i in range(1, m - 1):  # second difference at positions 2..m-1
@@ -209,14 +182,8 @@ def compile_system(system: SourceSystem, m: int = 5) -> TargetSystem:
     linear = list(inter.linear)
     squares: list[SquareEq] = []
     trace = list(inter.trace)
-    u_counter = 0
-    w_counter = 0
-    for sq in inter.squarings:
-        us = [f"_u{u_counter + i}" for i in range(m)]
-        ws = [f"_w{w_counter + i}" for i in range(m)]
-        u_counter += m
-        w_counter += m
-        block = encode_square(sq.t, sq.q, m, us, ws)
+    for i, sq in enumerate(inter.squarings):
+        block = encode_square(sq.t, sq.q, m, m * i)
         variables.extend(block.variables)
         linear.extend(block.linear)
         squares.extend(block.squares)
@@ -289,7 +256,7 @@ def translate_witness(system: SourceSystem, target: TargetSystem,
         if v not in witness:
             raise ValueError(f"witness is missing variable {v!r}")
         env[v] = int(witness[v])
-    if not _solution_rows(system, {v: (x,) for v, x in env.items()}, 1):
+    if not filter_rows(system.equations, {v: (x,) for v, x in env.items()}, 1):
         raise ValueError("witness does not satisfy the source system")
     full = target.extend(env)
     if not target.satisfied(full):
@@ -428,7 +395,7 @@ def _check_block(system: SourceSystem, target: TargetSystem, schedule: CheckSche
     would be."""
     rows = len(block)
     columns = dict(zip(system.variables, zip(*block)))
-    sat = _solution_rows(system, columns, rows)
+    sat = filter_rows(system.equations, dict(columns), rows)  # the trace needs every row
     env = run_trace(schedule.shared, columns, rows)
     largest = _witness_bound(env, schedule.shifts)
     if largest > W_BOUND_BUDGET:
@@ -437,7 +404,8 @@ def _check_block(system: SourceSystem, target: TargetSystem, schedule: CheckSche
                 for t, least, greatest in schedule.shifts for c in (least, greatest)]
         for row in zip(*ends):
             guard("W_BOUND_BUDGET", max(map(abs, row)), W_BOUND_BUDGET, "gadget witness bound")
-    return sat, target.satisfied_rows(env, rows, schedule.needs), largest
+    return sat, filter_rows(chain(target.linear, target.squares), env, rows,
+                            schedule.needs), largest
 
 
 def _witness_bound(env: dict[str, Sequence[int]], shifts: Sequence[tuple]) -> int:
@@ -449,16 +417,26 @@ def _witness_bound(env: dict[str, Sequence[int]], shifts: Sequence[tuple]) -> in
                 for t, least, greatest in shifts), default=0)
 
 
-def _solution_rows(system: SourceSystem, columns: dict[str, Sequence[int]],
-                   rows: int) -> list[int]:
-    """The rows of the block in columns at which every source equation
-    holds.  Each equation is evaluated only at the rows where the ones
-    before it hold, so its powers are refused only at such rows."""
-    alive = list(range(rows))
-    for eq in system.equations:
-        if not alive:
-            break
-        keep = list(map(not_, evaluate(eq.expr, columns, len(alive))))
-        alive = list(compress(alive, keep))
-        columns = {v: tuple(compress(column, keep)) for v, column in columns.items()}
-    return alive
+def filter_rows(equations: Iterable, env: dict[str, Sequence[int]], rows: int,
+                needs: Iterable[tuple] = repeat(())) -> list[int]:
+    """The rows, ascending indices into env's columns of `rows` values, at
+    which every equation holds.  The equations are checked in order, each
+    by its residual and only at the rows that satisfy the ones before it,
+    so a source equation's powers are refused only at such rows.  needs,
+    from a CheckSchedule, holds for each equation the steps run_trace
+    assigns before it is checked; without them env must hold every
+    variable.  When rows drop, env's columns are compressed to the rows
+    left, in place."""
+    alive = range(rows)
+    for steps, eq in zip(needs, equations):
+        if steps:
+            run_trace(steps, env, len(alive))
+        residual = eq.residual(env, len(alive))
+        if any(residual):
+            keep = list(map(not_, residual))
+            alive = list(compress(alive, keep))
+            if not alive:
+                break
+            for v, column in env.items():
+                env[v] = tuple(compress(column, keep))
+    return list(alive)

@@ -86,9 +86,9 @@ def run_trace(steps, env: dict[str, Sequence[int]], rows: int) -> dict[str, Sequ
 
 class TACProgram(Record):
     """Three-address program: instrs are "const", "add", "sub" and "mul"
-    trace steps, one per temporary, in the order of temps."""
+    trace steps, each assigning a new temporary."""
 
-    __slots__ = ("source_vars", "temps", "instrs", "equalities")
+    __slots__ = ("source_vars", "instrs", "equalities")
 
 
 class _Lowerer:
@@ -177,7 +177,6 @@ def lower_tac(system: SourceSystem) -> TACProgram:
         if left != right:
             equalities.append((left, right))
     return TACProgram(source_vars=system.variables,
-                      temps=tuple(step[1] for step in lw.instrs),
                       instrs=tuple(lw.instrs),
                       equalities=tuple(equalities))
 
@@ -192,15 +191,11 @@ class LinearEq(Record):
         self.coeffs = coeffs
         self.const = const
 
-    def residual(self, env: dict[str, Sequence[int]], rows: Sequence[int]) -> list[int]:
-        """The residual at each of rows, ascending indices into env's
-        columns: all of them, or the rows still to be checked."""
-        total = [self.const] * len(rows)
+    def residual(self, env: dict[str, Sequence[int]], rows: int) -> list[int]:
+        """The residual at each of env's `rows` rows."""
+        total = [self.const] * rows
         for v, c in self.coeffs.items():
-            column = env[v]
-            if len(rows) < len(column):
-                column = map(column.__getitem__, rows)
-            total = list(map(add, total, map(mul, repeat(c), column)))
+            total = list(map(add, total, map(mul, repeat(c), env[v])))
         return total
 
 
@@ -220,16 +215,17 @@ class IntermediateSystem(Record):
 
 def eliminate_mul(prog: TACProgram) -> IntermediateSystem:
     """Replace every multiplication by linear equations and squarings."""
-    counter = len(prog.temps)
-    variables = list(prog.source_vars) + list(prog.temps)
+    temps = [step[1] for step in prog.instrs]
+    counter = len(temps)
+    variables = list(prog.source_vars) + temps
     # The equalities come first: they are what fails for an assignment
-    # that is not a solution, so TargetSystem.satisfied_rows drops it there.
+    # that is not a solution, so compiler.filter_rows drops it there.
     linear = [LinearEq({x: 1, y: -1}, 0) for x, y in prog.equalities if x != y]
     squarings: list[Squaring] = []
     trace: list[tuple] = []
     square_memo: dict[str, str] = {}
     counts = {"muls_distinct": 0, "muls_square": 0, "sums": 0,
-              "squarings": 0, "tac_temps": len(prog.temps)}
+              "squarings": 0, "tac_temps": counter}
 
     def fresh() -> str:
         nonlocal counter

@@ -23,6 +23,10 @@ expr of one term is that term, and a term of one factor that factor.
 
 Equations are normalized on parse: lhs = rhs becomes the two-term Sum
 lhs - rhs, read as lhs - rhs = 0.  Positions are 1-based (line, column).
+
+_fold is the one walk of the syntax tree apart from the lowering
+(lower._Lowerer.lower): evaluation, the size bound of parse_poly and the
+expansions to UPoly and MPoly each pass it their own operators.
 """
 
 from __future__ import annotations
@@ -162,6 +166,10 @@ class Equation(Record):
 
     __slots__ = ("expr",)
 
+    def residual(self, env: dict[str, Sequence[int]], rows: int) -> Sequence[int]:
+        """expr at each of env's `rows` rows, as evaluate."""
+        return evaluate(self.expr, env, rows)
+
 
 class SourceSystem(Record):
     # size: the tokens of the source, a bound on the nodes of its trees
@@ -285,6 +293,31 @@ def bounded_pow(base: int, k: int) -> int:
     return bounded(base ** k)
 
 
+def _fold(expr, const, var, add=add, sub=sub, mul=mul, power=pow):
+    """Fold an AST bottom-up: const(value) and var(name) build the
+    leaves, and add, sub, mul and power(base, exponent) combine them, the
+    terms of a sum and the factors of a product left to right."""
+    def walk(node):
+        if isinstance(node, Num):
+            return const(node.value)
+        if isinstance(node, Var):
+            return var(node.name)
+        if isinstance(node, Sum):
+            acc = walk(node.terms[0][1])  # the first sign is +1
+            for sign, term in node.terms[1:]:
+                acc = (add if sign > 0 else sub)(acc, walk(term))
+            return acc
+        if isinstance(node, Product):
+            acc = walk(node.factors[0])
+            for factor in node.factors[1:]:
+                acc = mul(acc, walk(factor))
+            return acc
+        if isinstance(node, Pow):
+            return power(walk(node.base), node.exponent)
+        raise TypeError(f"not an expression node: {node!r}")
+    return walk(expr)
+
+
 def evaluate(expr, env: dict[str, Sequence[int]], rows: int) -> Sequence[int]:
     """Direct AST evaluation over the integers, on columns: env maps each
     variable to its values at `rows` assignments, and the result holds
@@ -292,48 +325,13 @@ def evaluate(expr, env: dict[str, Sequence[int]], rows: int) -> Sequence[int]:
     refused: |b|**k grows with |b|, so checking the largest |base| of a
     column refuses exactly when some row would.  Sums and products grow
     at most linearly with the text, so they are not checked."""
-    if isinstance(expr, Num):
-        return (expr.value,) * rows
-    if isinstance(expr, Var):
-        return env[expr.name]
-    if isinstance(expr, Sum):
-        total = evaluate(expr.terms[0][1], env, rows)  # the first sign is +1
-        for sign, term in expr.terms[1:]:
-            total = tuple(map(add if sign > 0 else sub, total, evaluate(term, env, rows)))
-        return total
-    if isinstance(expr, Product):
-        value = evaluate(expr.factors[0], env, rows)
-        for factor in expr.factors[1:]:
-            value = tuple(map(mul, value, evaluate(factor, env, rows)))
-        return value
-    if isinstance(expr, Pow):
-        base = evaluate(expr.base, env, rows)
-        bounded_pow(max(map(abs, base), default=0), expr.exponent)
-        return tuple(map(pow, base, repeat(expr.exponent)))
-    raise TypeError(f"not an expression node: {expr!r}")
+    def power(base, k):
+        bounded_pow(max(map(abs, base), default=0), k)
+        return tuple(map(pow, base, repeat(k)))
 
-
-def _fold(expr, const, var):
-    """Expand an AST bottom-up: const(value) and var(name) build the
-    leaves, and the operators of whatever they return do the rest."""
-    if isinstance(expr, Num):
-        return const(expr.value)
-    if isinstance(expr, Var):
-        return var(expr.name)
-    if isinstance(expr, Sum):
-        acc = _fold(expr.terms[0][1], const, var)
-        for sign, term in expr.terms[1:]:
-            value = _fold(term, const, var)
-            acc = acc + value if sign > 0 else acc - value
-        return acc
-    if isinstance(expr, Product):
-        acc = _fold(expr.factors[0], const, var)
-        for factor in expr.factors[1:]:
-            acc = acc * _fold(factor, const, var)
-        return acc
-    if isinstance(expr, Pow):
-        return _fold(expr.base, const, var) ** expr.exponent
-    raise TypeError(f"not an expression node: {expr!r}")
+    return _fold(expr, lambda c: (c,) * rows, env.__getitem__,
+                 lambda a, b: tuple(map(add, a, b)), lambda a, b: tuple(map(sub, a, b)),
+                 lambda a, b: tuple(map(mul, a, b)), power)
 
 
 def expand(expr, variables: tuple[str, ...]) -> MPoly:
@@ -346,26 +344,12 @@ def _size_bound(expr) -> tuple[int, int]:
     """Upper bounds on the total degree of expr and on the sum of the
     absolute values of its coefficients, read off the AST; the sum is
     refused beyond MAX_CONSTANT_BITS bits after each term or factor."""
-    if isinstance(expr, Num):
-        return 0, abs(expr.value)
-    if isinstance(expr, Var):
-        return 1, 1
-    if isinstance(expr, Sum):
-        degree, norm = _size_bound(expr.terms[0][1])
-        for _, term in expr.terms[1:]:
-            d, n = _size_bound(term)
-            degree, norm = max(degree, d), bounded(norm + n)
-        return degree, norm
-    if isinstance(expr, Product):
-        degree, norm = _size_bound(expr.factors[0])
-        for factor in expr.factors[1:]:
-            d, n = _size_bound(factor)
-            degree, norm = degree + d, bounded(norm * n)
-        return degree, norm
-    if isinstance(expr, Pow):
-        degree, norm = _size_bound(expr.base)
-        return degree * expr.exponent, bounded_pow(norm, expr.exponent)
-    raise TypeError(f"not an expression node: {expr!r}")
+    def plus(a, b):
+        return max(a[0], b[0]), bounded(a[1] + b[1])
+
+    return _fold(expr, lambda c: (0, abs(c)), lambda name: (1, 1), plus, plus,
+                 lambda a, b: (a[0] + b[0], bounded(a[1] * b[1])),
+                 lambda a, k: (a[0] * k, bounded_pow(a[1], k)))
 
 
 def parse_poly(text: str, var: str = "z") -> UPoly:

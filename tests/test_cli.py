@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from buchi.cli import MAX_ARG_DIGITS, main
+from buchi.nevanlinna import RADII_BUDGET
 from buchi.reduction.compiler import CHECK_WORK_BUDGET, GADGET_BUDGET
 from buchi.reduction.formulas import MAX_M
 from buchi.reduction.parser import (MAX_CONSTANT_BITS, MAX_DEPTH, MAX_EXPONENT,
@@ -265,6 +266,24 @@ class TestPadic:
                            "--den", "z", "--targets", "1,2,3",
                            "--rhos=-2,-1,0,1,2", "--json")
         assert payload["passed"] is True
+
+    @pytest.mark.parametrize("command, weight, extra", [
+        ("pjf", 1, []), ("fmt", 2, ["--a=1"]), ("smt", 1, ["--targets=1"])])
+    def test_radii_budget(self, capsys, command, weight, extra):
+        # at degree 200 the most radii RADII_BUDGET admits run; one more,
+        # and 65,000 (a 130 kB argument, under Linux's 128 KiB limit on
+        # one), are refused before any radius is converted
+        edge = RADII_BUDGET // (weight * (200 + 40) + 240) - 20
+        for radii, refused in ((edge, False), (edge + 1, True), (65_000, True)):
+            t0 = time.monotonic()
+            code, out, err = run(capsys, "padic", command, "--p", "3", "--num", "(z+1)^200",
+                                 "--den", "z+2", "--rhos=" + ",".join(["0"] * radii), *extra)
+            if refused:
+                assert code == 1 and out == ""
+                assert f"> RADII_BUDGET = {RADII_BUDGET} refused (resource guard)" in err
+                assert time.monotonic() - t0 < 1
+            else:
+                assert code == 0 and out, err
 
     def test_delta(self, capsys):
         payload = run_json(capsys, "padic", "delta", "--f-num", "z",
@@ -620,6 +639,32 @@ class TestHarness:
                       "--rho", "-1", "--json"]):
             payload = run_json(capsys, *argv)
             assert isinstance(payload, dict)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+class TestBenchmarkRounds:
+    # sha256 of all the stdout of one round of the benchmark, its cases
+    # run through main in order: a change that should keep every output
+    # byte, such as a refactor of the reduction, fails here if it does not
+    ROUNDS = {
+        ("exact-algebra", 501): "38da350f3025c0c59a271148e8a12330c17649cf1d1728e41be0ca65dd6fcb9c",
+        ("exact-algebra", 601): "39230451167ff983a3a979436d9daee3680201389cf9ac854e6898bc952d0508",
+        ("exact-algebra", 777): "53882320bd88b6145a9ca51ec20323b0a8b83982f2ef4e6eba4ce26d98bc93b6",
+        ("square-search", 501): "0006e3586fe9c6487dfe955ac7b42f6f6564fc1b0ee5968b0f7f33780c9fb193",
+    }
+
+    @pytest.mark.parametrize("workload, seed", sorted(ROUNDS))
+    def test_round_stdout(self, capsys, monkeypatch, tmp_path, workload, seed):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+        digest = hashlib.sha256()
+        for case in workloads.build(workload, seed, str(tmp_path)):
+            code, out, err = run(capsys, *case.argv)
+            assert code == 0, (case.argv, err)
+            digest.update(out.encode("utf-8"))
+        assert digest.hexdigest() == self.ROUNDS[workload, seed]
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

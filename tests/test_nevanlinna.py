@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from buchi.exact import valuation
-from buchi.nevanlinna import (INF, LDL_BUDGET, SMT_GRID_BUDGET, NewtonSegment,
+from buchi.nevanlinna import (INF, LDL_BUDGET, RADII_BUDGET, NewtonSegment,
                               check_fmt, check_ldl, check_pjf, check_smt, count_zeros,
                               delta_identity, difference_identity,
                               gauss_log_norm, height_N, newton_polygon, prox_m)
@@ -319,25 +319,25 @@ class TestSmt:
             check_smt(Z, (1, 1), 2, (0, 1))
 
     def test_grid_budget(self):
-        # 100 targets at degree 60: 380 radii cost exactly the budget, 381
+        # 100 targets at degree 60: 761 radii are within the budget, 762
         # are refused
-        targets = range(1, 101)
-        radii = SMT_GRID_BUDGET // (100 * 100) - 20
-        assert 100 * (radii + 20) * (60 + 40) == SMT_GRID_BUDGET
+        targets, per_radius = range(1, 101), 100 * (60 + 40) + 240
+        radii = RADII_BUDGET // per_radius - 20
+        assert (radii + 20) * per_radius <= RADII_BUDGET < (radii + 21) * per_radius
         assert len(check_smt(Z ** 60, targets, 5, range(radii)).values) == radii
-        with pytest.raises(ValueError, match="SMT_GRID_BUDGET = 4000000 refused"):
+        with pytest.raises(ValueError, match="RADII_BUDGET = 8000000 refused"):
             check_smt(Z ** 60, targets, 5, range(radii + 1))
 
     def test_grid_budget_weighs_the_degree(self):
         # a grid admitted at degree 1 is refused at degree 200, numerator
         # or denominator, and one radius does not admit unbounded targets
-        targets, radii = range(1, 21), range(1000)
-        assert len(check_smt(1 / Z, targets, 5, radii).values) == 1000
+        targets, radii = range(1, 21), range(2000)
+        assert len(check_smt(1 / Z, targets, 5, radii).values) == 2000
         for f in (Z ** 200 + 1, 1 / (Z ** 200 + 1)):
-            with pytest.raises(ValueError, match="SMT_GRID_BUDGET"):
+            with pytest.raises(ValueError, match="RADII_BUDGET"):
                 check_smt(f, targets, 5, radii)
-        with pytest.raises(ValueError, match="SMT_GRID_BUDGET"):
-            check_smt(Z ** 200 + 1, range(1, 800), 5, [0])
+        with pytest.raises(ValueError, match="RADII_BUDGET"):
+            check_smt(Z ** 200 + 1, range(1, 1700), 5, [0])
 
     def test_randomized(self):
         rng = random.Random(53)

@@ -14,7 +14,8 @@ from buchi.reduction import (LinearEq, ParseError, SquareEq, TACProgram, TargetS
                              validate_target)
 from buchi.reduction.compiler import _witness_bound, check_schedule
 from buchi.reduction.parser import (MAX_CONSTANT_BITS, MAX_DEPTH, MAX_POLY_DEGREE,
-                                    MAX_TOKENS, Num, Pow, Product, Sum, Var, tokenize)
+                                    MAX_TOKENS, Num, Pow, Product, Sum, Var, _size_bound,
+                                    tokenize)
 from buchi.surfaces import BuchiSurface, surface_equations
 from buchi.symbolic import UPoly
 from helpers import (DEEP_SHAPES, FLAT_LENGTH, dense_poly, mixed_nesting,
@@ -85,6 +86,17 @@ class TestParser:
         for _ in range(300):
             text = rand_expr(rng, ["z"], 4)
             assert parse_poly(text) == via_mpoly(text), text
+
+    def test_size_bound_is_an_upper_bound(self):
+        # text = 0 adds nothing to either bound; integer input gives
+        # integer coefficients, whose absolute values the norm bound caps
+        rng = random.Random(54)
+        for _ in range(300):
+            text = rand_expr(rng, ["z"], 4)
+            degree, norm = _size_bound(parse(f"{text} = 0").equations[0].expr)
+            poly = parse_poly(text)
+            assert all(c.denominator == 1 for c in poly.coeffs), text
+            assert poly.degree <= degree and sum(map(abs, poly.coeffs)) <= norm, text
 
     def test_parse_poly_degree_guard(self):
         assert parse_poly(f"z^{MAX_POLY_DEGREE}").degree == MAX_POLY_DEGREE
@@ -278,7 +290,6 @@ class TestLowering:
         prog = lower_tac(parse("x*y + x^2*y - 4 = x*y"))
         dests = [step[1] for step in prog.instrs]
         assert len(dests) == len(set(dests))
-        assert set(dests) == set(prog.temps)
 
 
 class TestRunTrace:
@@ -314,7 +325,6 @@ class TestRunTrace:
 class TestEliminateMul:
     def test_constant_product_polarization(self):
         prog = TACProgram(source_vars=(),
-                          temps=("_t0", "_t1", "_t2"),
                           instrs=(("const", "_t0", 3), ("const", "_t1", 5),
                                   ("mul", "_t2", "_t0", "_t1")),
                           equalities=())
@@ -353,7 +363,7 @@ class TestEliminateMul:
 
 class TestEncodeSquare:
     def test_shape_m5(self):
-        block = encode_square("t", "q", 5)
+        block = encode_square("t", "q", 5, 1)
         assert len(block.squares) == 5
         second_diff = [eq for eq in block.linear if eq.const == -2]
         ties = [eq for eq in block.linear if eq.const != -2]
@@ -361,10 +371,10 @@ class TestEncodeSquare:
         assert len(block.variables) == 10
 
     def test_canonical_witness(self):
-        block = encode_square("t", "q", 5)
+        block = encode_square("t", "q", 5, 1)
         env = scalar_run_trace(block.trace, {"t": 3, "q": 9})
-        us = [env[f"u{i}"] for i in range(1, 6)]
-        ws = [env[f"w{i}"] for i in range(1, 6)]
+        us = [env[f"_u{i}"] for i in range(1, 6)]
+        ws = [env[f"_w{i}"] for i in range(1, 6)]
         assert us == [9, 16, 25, 36, 49]
         assert ws == [3, 4, 5, 6, 7]
         assert us[1] - us[0] == 2 * 3 + 1
@@ -374,20 +384,18 @@ class TestEncodeSquare:
             assert env[sq.lhs] == env[sq.rhs] ** 2
 
     def test_zero_witness(self):
-        block = encode_square("t", "q", 5)
+        block = encode_square("t", "q", 5, 1)
         env = scalar_run_trace(block.trace, {"t": 0, "q": 0})
-        assert [env[f"u{i}"] for i in range(1, 6)] == [0, 1, 4, 9, 16]
+        assert [env[f"_u{i}"] for i in range(1, 6)] == [0, 1, 4, 9, 16]
         assert all(scalar_residual(eq, env) == 0 for eq in block.linear)
 
     def test_gadget_correctness_many_t(self):
         for m in (3, 4, 5, 8):
-            block = encode_square("t", "q", m)
+            block = encode_square("t", "q", m, 0)
             ts = list(range(-30, 31))
             env = run_trace(block.trace, {"t": ts, "q": [t * t for t in ts]}, len(ts))
-            every, odd = list(range(len(ts))), list(range(1, len(ts), 2))
             for eq in block.linear:
-                assert eq.residual(env, every) == [0] * len(every)
-                assert eq.residual(env, odd) == [0] * len(odd)
+                assert eq.residual(env, len(ts)) == [0] * len(ts)
             for sq in block.squares:
                 assert env[sq.lhs] == tuple(w * w for w in env[sq.rhs])
 
@@ -406,7 +414,7 @@ class TestEncodeSquare:
 
     def test_m_too_small(self):
         with pytest.raises(ValueError):
-            encode_square("t", "q", 2)
+            encode_square("t", "q", 2, 0)
 
 
 class TestCompile:
