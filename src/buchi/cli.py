@@ -3,6 +3,10 @@
 Subcommands: seq {search,verify}, surface {check,line,scan,family},
 padic {norm,zeros,pjf,ldl,fmt,smt,delta}, compile, check, formulas.
 
+Each subcommand's words, help and flags are declared once, on its handler,
+by the @_command decorator; build_parser builds the argparse tree from that
+list, so a new subcommand is one decorated handler.
+
 Output is deterministic for fixed inputs; --json selects the machine
 format.  Rationals are printed as "num/den" strings, never as floats.
 Exit codes: 0 success, 1 domain error, 2 usage error.
@@ -22,6 +26,30 @@ from . import guard
 # Longest number, in characters, of a list argument, --rho or --a: an output
 # multiplies at most about three, short of CPython's 4300-digit str() limit.
 MAX_ARG_DIGITS = 1000
+
+
+# (words, help, flags, handler) of each subcommand, in the order of the
+# handlers below and of --help.  A flag is (name, add_argument keyword
+# arguments); the constants are the flags that several subcommands share.
+_COMMANDS: list = []
+_GROUPS = {"seq": "square-sequence operations", "surface": "quadric surface operations",
+           "padic": "exact p-adic value distribution"}
+JSON = ("--json", {"action": "store_true", "help": "machine-readable output"})
+P = ("--p", {"type": int, "required": True})
+NUM = ("--num", {"required": True, "help": "numerator polynomial in z"})
+DEN = ("--den", {"default": "", "help": "denominator polynomial in z (default 1)"})
+POLY, RHO, RHOS, A, DELTAS, POINT = (
+    ("--" + name, {"required": True}) for name in ("poly", "rho", "rhos", "a", "deltas", "point"))
+IN = ("--in", {"required": True, "dest": "infile"})
+M = ("--m", {"type": int, "default": 5})
+
+
+def _command(words: str, summary: str, *flags):
+    """Register the decorated handler as the subcommand `words`."""
+    def register(handler):
+        _COMMANDS.append((words.split(), summary, flags, handler))
+        return handler
+    return register
 
 
 def _rat(text: str):
@@ -66,23 +94,27 @@ def _ratfunc(args, num_attr: str = "num", den_attr: str = "den"):
     return nevanlinna.quotient(num, den)
 
 
-def _cmd_seq_search(args) -> int:
+@_command("seq search", "exhaustive nontrivial sequence search",
+          ("--length", {"type": int, "required": True}),
+          ("--bound", {"type": int, "required": True}), JSON)
+def _cmd_seq_search(args) -> None:
     from . import sequences
     results = sequences.search(args.length, args.bound)
     values = [list(seq.values) for seq in results]
     payload = {"length": args.length, "bound": args.bound, "nontrivial": values}
     _emit(args, payload, lambda: "\n".join(",".join(map(str, vs)) for vs in values)
           or "no nontrivial sequences")
-    return 0
 
 
-def _cmd_seq_verify(args) -> int:
+@_command("seq verify", "verify and classify a sequence",
+          ("values", {"help": "comma-separated integers, e.g. 6,23,32,39"}), JSON)
+def _cmd_seq_verify(args) -> None:
     from . import sequences
     values = _int_list(args.values)
     if not sequences.is_buchi(values):
         _emit(args, {"values": values, "is_buchi": False, "trivial": None,
                      "nu": None}, "buchi: no")
-        return 0
+        return
     seq = sequences.BuchiSequence(values)
     witness = sequences.classify_trivial(seq)
     if witness is None:
@@ -91,10 +123,10 @@ def _cmd_seq_verify(args) -> int:
     else:
         _emit(args, {"values": values, "is_buchi": True, "trivial": True,
                      "nu": witness.nu}, f"buchi: yes, trivial (nu={witness.nu})")
-    return 0
 
 
-def _cmd_surface_check(args) -> int:
+@_command("surface check", "point membership", DELTAS, POINT, JSON)
+def _cmd_surface_check(args) -> None:
     from . import surfaces
     surface = surfaces.BuchiSurface(_rat_list(args.deltas))
     point = surfaces.ProjectivePoint(_rat_list(args.point))
@@ -103,10 +135,10 @@ def _cmd_surface_check(args) -> int:
                "point": [str(c) for c in point.coords],
                "contains": on_surface}
     _emit(args, payload, f"on surface: {'yes' if on_surface else 'no'}")
-    return 0
 
 
-def _cmd_surface_line(args) -> int:
+@_command("surface line", "trivial-line membership", DELTAS, POINT, JSON)
+def _cmd_surface_line(args) -> None:
     from . import surfaces
     surface = surfaces.BuchiSurface(_rat_list(args.deltas))
     point = surfaces.ProjectivePoint(_rat_list(args.point))
@@ -119,10 +151,12 @@ def _cmd_surface_line(args) -> int:
         signs = list(witness.signs)
         _emit(args, {"on_trivial_line": True, "signs": signs, "nu": nu},
               f"trivial line: signs={signs} nu={nu}")
-    return 0
 
 
-def _cmd_surface_scan(args) -> int:
+@_command("surface scan", "bounded-height candidate scan",
+          ("--nodes", {"required": True}), ("--height", {"type": int, "required": True}),
+          ("--integers-only", {"action": "store_true"}), JSON)
+def _cmd_surface_scan(args) -> None:
     from . import surfaces
     nodes = surfaces.EvaluationNodes(_rat_list(args.nodes))
     found = surfaces.scan_exceptional(nodes, args.height,
@@ -139,10 +173,11 @@ def _cmd_surface_scan(args) -> int:
     human = "\n".join([f"{len(found)} candidate(s) up to height {args.height}"]
                       + [f"u={f.u} v={f.v}" for f in found])
     _emit(args, payload, human)
-    return 0
 
 
-def _cmd_surface_family(args) -> int:
+@_command("surface family", "the factorial counterexample family",
+          ("--N", {"type": int, "required": True}), JSON)
+def _cmd_surface_family(args) -> None:
     from . import surfaces
     f, nodes, roots = surfaces.counterexample_family(args.N)
     payload = {"N": args.N, "f": {"u": str(f.u), "v": str(f.v)},
@@ -152,19 +187,19 @@ def _cmd_surface_family(args) -> int:
              f"nodes: {','.join(str(a) for a in nodes)}\n"
              f"roots: {','.join(str(r) for r in roots)}")
     _emit(args, payload, human)
-    return 0
 
 
-def _cmd_padic_norm(args) -> int:
+@_command("padic norm", "Gauss log-norm of a polynomial", P, POLY, RHO, JSON)
+def _cmd_padic_norm(args) -> None:
     from . import nevanlinna
     from .reduction.parser import parse_poly
     poly = parse_poly(args.poly)
     value = nevanlinna.gauss_log_norm(poly, args.p, _rat(args.rho))
     _emit(args, {"p": args.p, "rho": args.rho, "log_norm": str(value)}, str(value))
-    return 0
 
 
-def _cmd_padic_zeros(args) -> int:
+@_command("padic zeros", "zero count in a ball", P, POLY, RHO, JSON)
+def _cmd_padic_zeros(args) -> None:
     from . import nevanlinna
     from .reduction.parser import parse_poly
     poly = parse_poly(args.poly)
@@ -175,29 +210,30 @@ def _cmd_padic_zeros(args) -> int:
                "newton_polygon": [{"slope": str(s.slope), "length": s.length}
                                   for s in polygon.segments]}
     _emit(args, payload, str(count))
-    return 0
 
 
-def _cmd_padic_pjf(args) -> int:
+@_command("padic pjf", "log|f| = N(0) - N(inf) + C", P, NUM, DEN, RHOS, JSON)
+def _cmd_padic_pjf(args) -> None:
     from . import nevanlinna
     f = _ratfunc(args)
     rhos = _numbers(args.rhos)  # check_pjf refuses too many before converting them
     constant = nevanlinna.check_pjf(f, args.p, rhos)
     payload = {"p": args.p, "rhos": [str(_rat(r)) for r in rhos], "constant": str(constant)}
     _emit(args, payload, f"C = {constant}")
-    return 0
 
 
-def _cmd_padic_ldl(args) -> int:
+@_command("padic ldl", "derivative quotient norm bound", P, NUM, DEN,
+          ("--n", {"type": int, "default": 1}), RHO, JSON)
+def _cmd_padic_ldl(args) -> None:
     from . import nevanlinna
     f = _ratfunc(args)
     holds = nevanlinna.check_ldl(f, args.n, args.p, _rat(args.rho))
     _emit(args, {"p": args.p, "n": args.n, "rho": args.rho, "holds": holds},
           f"ldl: {'true' if holds else 'false'}")
-    return 0
 
 
-def _cmd_padic_fmt(args) -> int:
+@_command("padic fmt", "first-main-theorem defect report", P, NUM, DEN, A, RHOS, JSON)
+def _cmd_padic_fmt(args) -> None:
     from . import nevanlinna
     f = _ratfunc(args)
     report = nevanlinna.check_fmt(f, _rat(args.a), args.p, _numbers(args.rhos))
@@ -212,14 +248,15 @@ def _cmd_padic_fmt(args) -> int:
     human = (f"spread {report.spread}; defect is {report.eventual_value} for "
              f"rho > {report.stable_beyond}; passed: {report.passed}")
     _emit(args, payload, human)
-    return 0
 
 
-def _cmd_padic_smt(args) -> int:
+@_command("padic smt", "second-main-theorem sum report", P, NUM, DEN,
+          ("--targets", {"required": True}), RHOS, JSON)
+def _cmd_padic_smt(args) -> None:
     from . import nevanlinna
     f = _ratfunc(args)
-    report = nevanlinna.check_smt(f, _rat_list(args.targets), args.p,
-                                  _numbers(args.rhos))
+    # check_smt weighs the targets and radii before converting either
+    report = nevanlinna.check_smt(f, _numbers(args.targets), args.p, _numbers(args.rhos))
     payload = {"p": args.p,
                "targets": [str(t) for t in report.targets],
                "grid": [str(r) for r in report.grid],
@@ -231,16 +268,17 @@ def _cmd_padic_smt(args) -> int:
     human = (f"sup {report.sup}; eventual slope {report.eventual_slope}; "
              f"passed: {report.passed}")
     _emit(args, payload, human)
-    return 0
 
 
-def _cmd_padic_delta(args) -> int:
+@_command("padic delta", "discriminant factorization identity",
+          ("--f-num", {"required": True}), ("--f-den", {"default": ""}),
+          ("--u-num", {"required": True}), ("--u-den", {"default": ""}), A, JSON)
+def _cmd_padic_delta(args) -> None:
     from . import nevanlinna
     f = _ratfunc(args, "f_num", "f_den")
     u = _ratfunc(args, "u_num", "u_den")
     holds = nevanlinna.delta_identity(f, u, _rat(args.a))
     _emit(args, {"holds": holds}, f"delta identity: {'true' if holds else 'false'}")
-    return 0
 
 
 def _read_source(path: str):
@@ -249,7 +287,9 @@ def _read_source(path: str):
         return parse(handle.read())
 
 
-def _cmd_compile(args) -> int:
+@_command("compile", "compile a system to diagonal quadratic form", IN, M,
+          ("--emit", {"choices": ("json", "text"), "default": "text"}))
+def _cmd_compile(args) -> None:
     from .reduction import compiler
     system = _read_source(args.infile)
     target = compiler.compile_system(system, m=args.m)
@@ -258,10 +298,11 @@ def _cmd_compile(args) -> int:
         print(target.to_json())
     else:
         print(target.to_text(), end="")
-    return 0
 
 
-def _cmd_check(args) -> int:
+@_command("check", "bounded equisatisfiability check", IN, M,
+          ("--box", {"type": int, "required": True}), JSON)
+def _cmd_check(args) -> None:
     from .reduction import compiler
     system = _read_source(args.infile)
     target = compiler.compile_system(system, m=args.m)
@@ -286,25 +327,18 @@ def _cmd_check(args) -> int:
              f"sequence(s) below bound {report.derived_w_bound}; "
              f"{'PASS' if report.passed else 'FAIL'}")
     _emit(args, payload, human)
-    return 0
 
 
-def _cmd_formulas(args) -> int:
+@_command("formulas", "print the defining formulas",
+          ("--mode", {"required": True, "choices": ("F", "G", "H", "Psi")}),
+          ("--m", {"type": int}),  # default formulas.DEFAULT_M, read when run
+          ("--deltas", {"default": ""}), JSON)
+def _cmd_formulas(args) -> None:
     from .reduction import formulas
     m = formulas.DEFAULT_M if args.m is None else args.m
     deltas = _rat_list(args.deltas) if args.deltas else None
     text = formulas.print_formulas(args.mode, m=m, deltas=deltas)
     _emit(args, {"mode": args.mode, "m": m, "text": text}, text)
-    return 0
-
-
-def _add_json_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-
-
-def _add_ratfunc_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--num", required=True, help="numerator polynomial in z")
-    parser.add_argument("--den", default="", help="denominator polynomial in z (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,112 +347,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact workbench: square sequences, quadric surfaces, "
                     "p-adic value distribution, diagonal quadratic reduction")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    seq = sub.add_parser("seq", help="square-sequence operations")
-    seq_sub = seq.add_subparsers(dest="subcommand", required=True)
-    p = seq_sub.add_parser("search", help="exhaustive nontrivial sequence search")
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_seq_search)
-    p = seq_sub.add_parser("verify", help="verify and classify a sequence")
-    p.add_argument("values", help="comma-separated integers, e.g. 6,23,32,39")
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_seq_verify)
-
-    surface = sub.add_parser("surface", help="quadric surface operations")
-    surface_sub = surface.add_subparsers(dest="subcommand", required=True)
-    p = surface_sub.add_parser("check", help="point membership")
-    p.add_argument("--deltas", required=True)
-    p.add_argument("--point", required=True)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_surface_check)
-    p = surface_sub.add_parser("line", help="trivial-line membership")
-    p.add_argument("--deltas", required=True)
-    p.add_argument("--point", required=True)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_surface_line)
-    p = surface_sub.add_parser("scan", help="bounded-height candidate scan")
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--integers-only", action="store_true", dest="integers_only")
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_surface_scan)
-    p = surface_sub.add_parser("family", help="the factorial counterexample family")
-    p.add_argument("--N", type=int, required=True)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_surface_family)
-
-    padic = sub.add_parser("padic", help="exact p-adic value distribution")
-    padic_sub = padic.add_subparsers(dest="subcommand", required=True)
-    p = padic_sub.add_parser("norm", help="Gauss log-norm of a polynomial")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--poly", required=True)
-    p.add_argument("--rho", required=True)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_padic_norm)
-    p = padic_sub.add_parser("zeros", help="zero count in a ball")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--poly", required=True)
-    p.add_argument("--rho", required=True)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_padic_zeros)
-    p = padic_sub.add_parser("pjf", help="log|f| = N(0) - N(inf) + C")
-    p.add_argument("--p", type=int, required=True)
-    _add_ratfunc_flags(p)
-    p.add_argument("--rhos", required=True)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_padic_pjf)
-    p = padic_sub.add_parser("ldl", help="derivative quotient norm bound")
-    p.add_argument("--p", type=int, required=True)
-    _add_ratfunc_flags(p)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--rho", required=True)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_padic_ldl)
-    p = padic_sub.add_parser("fmt", help="first-main-theorem defect report")
-    p.add_argument("--p", type=int, required=True)
-    _add_ratfunc_flags(p)
-    p.add_argument("--a", required=True)
-    p.add_argument("--rhos", required=True)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_padic_fmt)
-    p = padic_sub.add_parser("smt", help="second-main-theorem sum report")
-    p.add_argument("--p", type=int, required=True)
-    _add_ratfunc_flags(p)
-    p.add_argument("--targets", required=True)
-    p.add_argument("--rhos", required=True)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_padic_smt)
-    p = padic_sub.add_parser("delta", help="discriminant factorization identity")
-    p.add_argument("--f-num", required=True, dest="f_num")
-    p.add_argument("--f-den", default="", dest="f_den")
-    p.add_argument("--u-num", required=True, dest="u_num")
-    p.add_argument("--u-den", default="", dest="u_den")
-    p.add_argument("--a", required=True)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_padic_delta)
-
-    p = sub.add_parser("compile", help="compile a system to diagonal quadratic form")
-    p.add_argument("--in", required=True, dest="infile")
-    p.add_argument("--m", type=int, default=5)
-    p.add_argument("--emit", choices=("json", "text"), default="text")
-    p.set_defaults(func=_cmd_compile)
-
-    p = sub.add_parser("check", help="bounded equisatisfiability check")
-    p.add_argument("--in", required=True, dest="infile")
-    p.add_argument("--m", type=int, default=5)
-    p.add_argument("--box", type=int, required=True)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("formulas", help="print the defining formulas")
-    p.add_argument("--mode", required=True, choices=("F", "G", "H", "Psi"))
-    p.add_argument("--m", type=int)  # default formulas.DEFAULT_M, read when run
-    p.add_argument("--deltas", default="")
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_formulas)
-
+    groups = {}
+    for words, summary, flags, handler in _COMMANDS:
+        choices = sub
+        if len(words) == 2:  # a group's subcommand: the group's parser comes first
+            group = words[0]
+            if group not in groups:
+                groups[group] = sub.add_parser(group, help=_GROUPS[group]).add_subparsers(
+                    dest="subcommand", required=True)
+            choices = groups[group]
+        p = choices.add_parser(words[-1], help=summary)
+        for name, kwargs in flags:
+            p.add_argument(name, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -429,10 +370,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        args.func(args)
     except (ValueError, ArithmeticError, ZeroDivisionError, OSError) as exc:
         print(f"buchi: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -365,12 +365,12 @@ def check_smt(f, targets, p: int, rhos) -> SmtReport:
     f = _as_ratfunc(f)
     if f.is_constant:
         raise ValueError("f must be nonconstant")
+    grid = tuple(sorted(_radii(len(targets), rhos, f)))  # before any target is converted
     ts = tuple(as_fraction(a) for a in targets)
     if len(set(ts)) != len(ts):
         raise ValueError("targets must be distinct")
     if not ts:
         raise ValueError("need at least one target")
-    grid = tuple(sorted(_radii(len(ts), rhos, f)))
     if not grid:
         raise ValueError("empty radius grid")
     den = _padic(f.den, p)

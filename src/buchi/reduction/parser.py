@@ -352,11 +352,11 @@ def _size_bound(expr) -> tuple[int, int]:
                  lambda a, k: (a[0] * k, bounded_pow(a[1], k)))
 
 
-def parse_poly(text: str, var: str = "z") -> UPoly:
-    """Parse a single expression in one variable as an exact polynomial.
+def parse_poly(text: str) -> UPoly:
+    """Parse a single expression in z as an exact polynomial.
 
     Shares the system grammar (minus '=' and ';'); any identifier other
-    than `var` is rejected, and so is an expression whose degree bound
+    than z is rejected, and so is an expression whose degree bound
     exceeds MAX_POLY_DEGREE, whose bound on the sum of its coefficients'
     absolute values exceeds MAX_CONSTANT_BITS bits, or for which the
     degree bound squared times the bits of that sum exceeds MAX_POLY_SIZE.
@@ -367,9 +367,9 @@ def parse_poly(text: str, var: str = "z") -> UPoly:
     parser = _Parser(tokens)
     expr = parser.parse_expr()
     parser.eat("EOF")
-    if not parser.names <= {var}:
-        bad = sorted(parser.names - {var})[0]
-        raise ParseError(f"unknown variable {bad!r} (only {var!r} is allowed)", 1, 1)
+    if not parser.names <= {"z"}:
+        bad = sorted(parser.names - {"z"})[0]
+        raise ParseError(f"unknown variable {bad!r} (only 'z' is allowed)", 1, 1)
     degree, norm = _size_bound(expr)
     guard("MAX_POLY_DEGREE", degree, MAX_POLY_DEGREE, "polynomial degree bound")
     guard("MAX_POLY_SIZE", degree ** 2 * norm.bit_length(), MAX_POLY_SIZE,

@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from buchi.cli import MAX_ARG_DIGITS, main
+from buchi.cli import MAX_ARG_DIGITS, build_parser, main
 from buchi.nevanlinna import RADII_BUDGET
 from buchi.reduction.compiler import CHECK_WORK_BUDGET, GADGET_BUDGET
 from buchi.reduction.formulas import MAX_M
@@ -285,6 +287,19 @@ class TestPadic:
             else:
                 assert code == 0 and out, err
 
+    def test_radii_budget_weighs_targets_first(self, capsys):
+        # 20,000 targets (a 109 kB argument) with one radius are refused
+        # before any target is converted, so a duplicate or a target that
+        # is no number among them meets the budget's refusal first
+        targets = [str(t) for t in range(1, 20_001)]
+        for bad in ([], ["1"], ["x"]):
+            t0 = time.monotonic()
+            code, out, err = run(capsys, "padic", "smt", "--p", "3", "--num", "(z+1)^200",
+                                 "--den", "z+2", "--rhos=0", "--targets=" + ",".join(targets + bad))
+            assert code == 1 and out == ""
+            assert f"> RADII_BUDGET = {RADII_BUDGET} refused (resource guard)" in err
+            assert time.monotonic() - t0 < 0.1
+
     def test_delta(self, capsys):
         payload = run_json(capsys, "padic", "delta", "--f-num", "z",
                            "--u-num", "z^2", "--a", "1", "--json")
@@ -413,7 +428,10 @@ class TestCompileCheck:
         assert 37 ** 3 * 74 <= CHECK_WORK_BUDGET < 39 ** 3 * 74
         src = tmp_path / "sys.dioph"
         ones = "+".join(["1"] * 2000)
-        for text, box in (("x*y = z", 19), ("x*y = z", 50), (f"x = y + ({ones})", 50)):
+        # every assignment of a*b*c*d = d*c*b*a is a solution and runs the
+        # whole trace, so a cost of shared steps only would admit box 9 (~4 s)
+        for text, box in (("x*y = z", 19), ("x*y = z", 50), (f"x = y + ({ones})", 50),
+                          ("a*b*c*d = d*c*b*a", 9)):
             src.write_text(text + "\n")
             t0 = time.monotonic()
             code, out, err = run(capsys, "check", "--in", str(src), "--box", str(box))
@@ -639,6 +657,56 @@ class TestHarness:
                       "--rho", "-1", "--json"]):
             payload = run_json(capsys, *argv)
             assert isinstance(payload, dict)
+
+
+def parsers(parser: argparse.ArgumentParser, path: tuple = ()):
+    """(subcommand words, parser) of every parser of the argparse tree:
+    the root, each group and each leaf."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from parsers(sub, path + (name,))
+
+
+README_CLI = re.search(r"## CLI\n\n```\n(.*?)```",
+                       (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8"),
+                       re.S).group(1).splitlines()
+
+
+class TestParserTree:
+    # sha256 of the help text, handler and actions of all 20 parsers: a
+    # change to how the tree is declared must leave every flag as it was
+    TREE = "66bc26c1ddd7c10e02f583e8ccc88f9d073155a0f725dd98154800e337bb17ee"
+
+    def test_tree_is_unchanged(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+        digest = hashlib.sha256()
+        tree = list(parsers(build_parser()))
+        for path, parser in tree:
+            func = parser.get_default("func")
+            digest.update(repr((path, parser.format_help(),
+                                func and func.__name__)).encode("utf-8"))
+            for a in parser._actions:
+                digest.update(repr((a.dest, a.option_strings, getattr(a.type, "__name__", None),
+                                    a.default, a.required,
+                                    a.choices and list(a.choices), a.help)).encode("utf-8"))
+        assert len(tree) == 20
+        assert digest.hexdigest() == self.TREE
+
+    def test_readme_cli_block_parses(self):
+        # every line parses as written, no file being read at parse time,
+        # and every leaf subcommand is shown at least once
+        parser = build_parser()
+        shown = set()
+        for line in README_CLI:
+            words = shlex.split(line.replace(" [--json]", ""))
+            assert words[0] == "buchi", line
+            for choice in ("json", "text"):
+                argv = [choice if w == "json|text" else w for w in words[1:]]
+                shown.add(parser.parse_args(argv).func)
+        leaves = {sub.get_default("func") for _, sub in parsers(parser)} - {None}
+        assert len(leaves) == 16 and leaves <= shown
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
