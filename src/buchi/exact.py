@@ -1,5 +1,6 @@
 """Exact integer and rational predicates used everywhere else: rational
-coercion, primality, perfect-square tests, and p-adic valuations.
+coercion, primality, perfect-square tests, p-adic valuations, and
+polynomial identity checks on an integer grid.
 
 All arithmetic in this package is arbitrary precision and exact.  Floats
 are rejected at the boundaries rather than silently converted.
@@ -11,6 +12,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 
 class _PadicInfinity:
@@ -158,3 +160,14 @@ def valuation(q, p: int):
     if q == 0:
         return INFINITY
     return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
+
+
+def vanishes_on_grid(poly, degrees) -> bool:
+    """True iff the integer function poly(*point) is 0 at every point of
+    the grid {0..D_1} x ... x {0..D_k}, degrees = (D_1, ..., D_k).
+
+    A polynomial of degree at most D_v in each variable v that vanishes
+    on that grid is the zero polynomial (Alon's Combinatorial
+    Nullstellensatz, Combin. Probab. Comput. 8, 1999, Lemma 2.1), so for
+    such a poly this is an exact, deterministic identity check."""
+    return all(poly(*point) == 0 for point in product(*(range(d + 1) for d in degrees)))

@@ -34,25 +34,9 @@ from fractions import Fraction
 from math import isqrt
 
 from . import Record, guard
+from .exact import INFINITY as INF  # the target 'infinity': poles, not zeros
 from .exact import as_fraction, valuation
 from .symbolic import RatFunc, UPoly
-
-
-class _AtInfinity:
-    """Marker for the target 'infinity' (poles rather than zeros)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INF"
-
-
-INF = _AtInfinity()
 
 
 class NewtonSegment(Record):

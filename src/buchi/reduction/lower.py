@@ -57,8 +57,7 @@ from math import prod
 from operator import add, mul, sub
 
 from .. import Record
-from .parser import (Num, Pow, Product, SourceSystem, Var, bounded,
-                     bounded_pow)
+from .parser import SourceSystem, _fold, bounded, bounded_pow
 
 _BINARY = {"add": add, "sub": sub, "mul": mul}
 
@@ -115,28 +114,20 @@ class _Lowerer:
     def lower(self, node) -> str | int:
         """The variable holding node's value, or the value itself when
         node has no variables."""
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Var):
-            return node.name
-        if isinstance(node, Pow):
-            return self.power(self.lower(node.base), node.exponent)
-        if isinstance(node, Product):
-            factors = []  # a loop, not a comprehension: one frame per level
-            for factor in node.factors:
-                factors.append(self.lower(factor))
-            c = bounded(prod(f for f in factors if isinstance(f, int)))
-            names = [f for f in factors if isinstance(f, str)]
-            return (self.scale(reduce(partial(self.step, "mul"), names), c)
-                    if names and c else c)
-        acc = self.lower(node.terms[0][1])
-        for sign, term in node.terms[1:]:
-            value = self.lower(term)
-            if isinstance(acc, int) and isinstance(value, int):
-                acc = bounded(acc + value if sign > 0 else acc - value)
-            else:
-                acc = self.step("add" if sign > 0 else "sub", acc, value)
-        return acc
+        return _fold(node, int, str, partial(self.combine, add), partial(self.combine, sub),
+                     self.product, self.power)
+
+    def combine(self, op, a: str | int, b: str | int) -> str | int:
+        """a + b or a - b for op add or sub, folded when both are integers."""
+        if isinstance(a, int) and isinstance(b, int):
+            return bounded(op(a, b))
+        return self.step(op.__name__, a, b)
+
+    def product(self, factors: list) -> str | int:
+        """The product of the variable factors, then the integer ones."""
+        c = bounded(prod(f for f in factors if isinstance(f, int)))
+        names = [f for f in factors if isinstance(f, str)]
+        return self.scale(reduce(partial(self.step, "mul"), names), c) if names and c else c
 
     def power(self, base: str | int, k: int) -> str | int:
         """base**k by left-to-right square-and-multiply."""

@@ -24,19 +24,19 @@ expr of one term is that term, and a term of one factor that factor.
 Equations are normalized on parse: lhs = rhs becomes the two-term Sum
 lhs - rhs, read as lhs - rhs = 0.  Positions are 1-based (line, column).
 
-_fold is the one walk of the syntax tree apart from the lowering
-(lower._Lowerer.lower): evaluation, the size bound of parse_poly and the
-expansions to UPoly and MPoly each pass it their own operators.
+_fold is the one walk of the syntax tree: evaluation, the lowering
+(lower._Lowerer.lower), the size bound of parse_poly and the expansions
+to UPoly and MPoly each pass it their own operators.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import partial, reduce
 from itertools import repeat
 from operator import add, mul, sub
 
 from .. import Record, guard
-from ..symbolic import MPoly, UPoly
 
 MAX_EXPONENT = 4096
 # Largest integer, in bits, of a literal or of what folding or evaluation
@@ -293,10 +293,11 @@ def bounded_pow(base: int, k: int) -> int:
     return bounded(base ** k)
 
 
-def _fold(expr, const, var, add=add, sub=sub, mul=mul, power=pow):
+def _fold(expr, const, var, add=add, sub=sub, product=partial(reduce, mul), power=pow):
     """Fold an AST bottom-up: const(value) and var(name) build the
-    leaves, and add, sub, mul and power(base, exponent) combine them, the
-    terms of a sum and the factors of a product left to right."""
+    leaves, add and sub combine the terms of a sum left to right,
+    product(factors) the list of a product's factors, and
+    power(base, exponent) a power."""
     def walk(node):
         if isinstance(node, Num):
             return const(node.value)
@@ -308,10 +309,10 @@ def _fold(expr, const, var, add=add, sub=sub, mul=mul, power=pow):
                 acc = (add if sign > 0 else sub)(acc, walk(term))
             return acc
         if isinstance(node, Product):
-            acc = walk(node.factors[0])
-            for factor in node.factors[1:]:
-                acc = mul(acc, walk(factor))
-            return acc
+            factors = []  # a loop, not a comprehension: one frame per level
+            for factor in node.factors:
+                factors.append(walk(factor))
+            return product(factors)
         if isinstance(node, Pow):
             return power(walk(node.base), node.exponent)
         raise TypeError(f"not an expression node: {node!r}")
@@ -331,11 +332,12 @@ def evaluate(expr, env: dict[str, Sequence[int]], rows: int) -> Sequence[int]:
 
     return _fold(expr, lambda c: (c,) * rows, env.__getitem__,
                  lambda a, b: tuple(map(add, a, b)), lambda a, b: tuple(map(sub, a, b)),
-                 lambda a, b: tuple(map(mul, a, b)), power)
+                 partial(reduce, lambda a, b: tuple(map(mul, a, b))), power)
 
 
 def expand(expr, variables: tuple[str, ...]) -> MPoly:
     """Expand an AST into a sparse polynomial over the given variables."""
+    from ..symbolic import MPoly  # here, so that compile and check never load it
     return _fold(expr, lambda c: MPoly.constant(c, variables),
                  lambda name: MPoly.var(name, variables))
 
@@ -348,7 +350,7 @@ def _size_bound(expr) -> tuple[int, int]:
         return max(a[0], b[0]), bounded(a[1] + b[1])
 
     return _fold(expr, lambda c: (0, abs(c)), lambda name: (1, 1), plus, plus,
-                 lambda a, b: (a[0] + b[0], bounded(a[1] * b[1])),
+                 partial(reduce, lambda a, b: (a[0] + b[0], bounded(a[1] * b[1]))),
                  lambda a, k: (a[0] * k, bounded_pow(a[1], k)))
 
 
@@ -374,4 +376,5 @@ def parse_poly(text: str) -> UPoly:
     guard("MAX_POLY_DEGREE", degree, MAX_POLY_DEGREE, "polynomial degree bound")
     guard("MAX_POLY_SIZE", degree ** 2 * norm.bit_length(), MAX_POLY_SIZE,
           "degree bound**2 * bits of the coefficient-sum bound")
+    from ..symbolic import UPoly  # here, so that compile and check never load it
     return _fold(expr, UPoly.constant, lambda name: UPoly.x())

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial, isqrt
 
 from . import Record, guard
-from .exact import as_fraction, is_square_int, is_square_rat
+from .exact import as_fraction, is_square_int, is_square_rat, vanishes_on_grid
 
 # Largest scans accepted (resource guards), from in-process times on a
 # 2-vCPU VM (CPython 3.11): the integer-node scan at height 5000 takes up
@@ -429,25 +429,26 @@ def conic_integrality_identity() -> bool:
     family c*(c - d_2)*d_2*x_0**2 - (c - d_2)*x_1**2 + c*x_2**2 = 0 for
     the quadratic symmetric form
 
-        x_1*x_2 dx_1^2 + (d_2**2 - x_1**2 - x_2**2) dx_1 dx_2 + x_1*x_2 dx_2^2.
+        x_1*x_2 dx_1^2 + (d_2**2 - x_1**2 - x_2**2) dx_1 dx_2 + x_1*x_2 dx_2^2:
 
-    Checks, in variables (c, d2, x1, x2):
-
-        c**2*x2**2 + c*(c-d2)*(d2**2 - x1**2 - x2**2) + (c-d2)**2*x1**2
-          = d2 * (d2*c*(c-d2) - (c-d2)*x1**2 + c*x2**2)
-
-    and that 2*x1*x2 + (d2**2 - x1**2 - x2**2) vanishes on the line
-    x_1 = x_2 - d_2.  A failure raises; both are identities.
+    the pullback lhs - rhs below is zero, and so is the cross term
+    2*x1*x2 + d2**2 - x1**2 - x2**2 on the line x_1 = x_2 - d_2.
+    vanishes_on_grid checks each exactly, at degree at most (2, 3, 2, 2)
+    in (c, d2, x1, x2) and (2, 2) in (d2, x2).  A failure raises; both are
+    identities.
     """
-    from .symbolic import MPoly  # here, so that no `surface` command loads it
-    c, d2, x1, x2 = MPoly.vars("c", "d2", "x1", "x2")
-    lhs = (c ** 2 * x2 ** 2
-           + c * (c - d2) * (d2 ** 2 - x1 ** 2 - x2 ** 2)
-           + (c - d2) ** 2 * x1 ** 2)
-    rhs = d2 * (d2 * c * (c - d2) - (c - d2) * x1 ** 2 + c * x2 ** 2)
-    if lhs != rhs:
+    def pullback(c, d2, x1, x2):
+        lhs = (c ** 2 * x2 ** 2
+               + c * (c - d2) * (d2 ** 2 - x1 ** 2 - x2 ** 2)
+               + (c - d2) ** 2 * x1 ** 2)
+        return lhs - d2 * (d2 * c * (c - d2) - (c - d2) * x1 ** 2 + c * x2 ** 2)
+
+    def cross_on_line(d2, x2):
+        x1 = x2 - d2
+        return 2 * x1 * x2 + d2 ** 2 - x1 ** 2 - x2 ** 2
+
+    if not vanishes_on_grid(pullback, (2, 3, 2, 2)):
         raise ArithmeticError("conic pullback identity failed")
-    cross = 2 * x1 * x2 + d2 ** 2 - x1 ** 2 - x2 ** 2
-    if not cross.substitute("x1", x2 - d2).is_zero:
+    if not vanishes_on_grid(cross_on_line, (2, 2)):
         raise ArithmeticError("trivial-line vanishing identity failed")
     return True

@@ -1,5 +1,6 @@
 """Exact symbolic arithmetic: univariate polynomials and rational
-functions over Q, and sparse multivariate polynomials.
+functions over Q, and the sparse multivariate polynomials of
+reduction.parser.expand.
 
 UPoly stores integer numerators (a_0..a_d), trailing zeros trimmed, over
 one positive denominator coprime to them.  Its arithmetic runs on those
@@ -8,11 +9,10 @@ Fractions appear only in `coeffs`, `lead`, evaluation and repr.  RatFunc
 arithmetic and == multiply and run no gcd; the canonical form (coprime,
 den monic) is reduced once, the first time it is read.
 MPoly maps exponent vectors over a fixed variable tuple to nonzero
-rational coefficients; identity checks reduce to structural equality.
+rational coefficients; equality is structural.
 
 There is deliberately no factorization, no multivariate gcd and no power
-series here.  The one "reduction modulo a relation" ever needed is
-imposing e**2 = 1 on a single variable, done by exponent substitution.
+series here.
 """
 
 from __future__ import annotations
@@ -431,7 +431,8 @@ class RatFunc:
 
 
 class MPoly:
-    """Sparse multivariate polynomial over Q with named variables.
+    """Sparse multivariate polynomial over Q with named variables: the
+    expansion parser.expand builds.
 
     Terms map exponent tuples (one entry per variable, in the order of
     the variable tuple) to nonzero coefficients.
@@ -441,26 +442,7 @@ class MPoly:
 
     def __init__(self, variables: Iterable[str], terms: Mapping | None = None):
         self._vars = tuple(variables)
-        if len(set(self._vars)) != len(self._vars):
-            raise ValueError("duplicate variable names")
-        clean: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for exps, c in terms.items():
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != len(self._vars):
-                    raise ValueError("arity mismatch")
-                if any(e < 0 for e in exps):
-                    raise ValueError("negative exponent")
-                c = as_fraction(c)
-                if c != 0:
-                    clean[exps] = clean.get(exps, Fraction(0)) + c
-                    if clean[exps] == 0:
-                        del clean[exps]
-        self._terms = clean
-
-    @classmethod
-    def zero(cls, variables: Iterable[str]) -> "MPoly":
-        return cls(variables)
+        self._terms = {exps: as_fraction(c) for exps, c in (terms or {}).items() if c != 0}
 
     @classmethod
     def constant(cls, c, variables: Iterable[str]) -> "MPoly":
@@ -470,63 +452,21 @@ class MPoly:
     @classmethod
     def var(cls, name: str, variables: Iterable[str]) -> "MPoly":
         variables = tuple(variables)
-        if name not in variables:
-            raise ValueError(f"unknown variable {name!r}")
         e = [0] * len(variables)
         e[variables.index(name)] = 1
         return cls(variables, {tuple(e): 1})
-
-    @classmethod
-    def vars(cls, *names: str) -> "tuple[MPoly, ...]":
-        """Generators x_1..x_k over the variable tuple (names)."""
-        return tuple(cls.var(n, names) for n in names)
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return self._vars
 
     @property
     def terms(self) -> dict:
         return dict(self._terms)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.constant(other, self._vars)
         if not isinstance(other, MPoly):
             return NotImplemented
         return self._vars == other._vars and self._terms == other._terms
 
-    def __hash__(self) -> int:
-        return hash((self._vars, frozenset(self._terms.items())))
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "MPoly(0)"
-        bits = []
-        for exps in sorted(self._terms, reverse=True):
-            c = self._terms[exps]
-            mono = "*".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in zip(self._vars, exps) if e > 0
-            )
-            if mono:
-                bits.append(f"{c}*{mono}" if c != 1 else mono)
-            else:
-                bits.append(str(c))
-        return "MPoly(" + " + ".join(bits) + ")"
-
     def _coerce(self, other) -> "MPoly | None":
-        if isinstance(other, MPoly):
-            if other._vars != self._vars:
-                raise ValueError("arity mismatch")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MPoly.constant(other, self._vars)
-        return None
+        return other if isinstance(other, MPoly) else None
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -541,8 +481,6 @@ class MPoly:
                 out[exps] = s
         return MPoly(self._vars, out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "MPoly":
         return MPoly(self._vars, {e: -c for e, c in self._terms.items()})
 
@@ -551,9 +489,6 @@ class MPoly:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -570,8 +505,6 @@ class MPoly:
                     out[e] = s
         return MPoly(self._vars, out)
 
-    __rmul__ = __mul__
-
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise ValueError("negative power")
@@ -583,48 +516,3 @@ class MPoly:
             base = base * base
             n >>= 1
         return result
-
-    def substitute(self, name: str, replacement: "MPoly") -> "MPoly":
-        """Replace a variable by a polynomial over the same variable tuple."""
-        if name not in self._vars:
-            raise ValueError(f"unknown variable {name!r}")
-        replacement = self._coerce(replacement)
-        idx = self._vars.index(name)
-        out = MPoly.zero(self._vars)
-        powers: dict[int, MPoly] = {0: MPoly.constant(1, self._vars)}
-        for exps, c in sorted(self._terms.items()):
-            e = exps[idx]
-            if e not in powers:
-                powers[e] = replacement ** e
-            rest = list(exps)
-            rest[idx] = 0
-            out = out + MPoly(self._vars, {tuple(rest): c}) * powers[e]
-        return out
-
-    def impose_square_one(self, name: str) -> "MPoly":
-        """Reduce modulo the relation name**2 = 1 (exponents mod 2)."""
-        if name not in self._vars:
-            raise ValueError(f"unknown variable {name!r}")
-        idx = self._vars.index(name)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self._terms.items():
-            e = list(exps)
-            e[idx] %= 2
-            e = tuple(e)
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return MPoly(self._vars, out)
-
-    def __call__(self, **values) -> Fraction:
-        env = [as_fraction(values[v]) for v in self._vars]
-        total = Fraction(0)
-        for exps, c in self._terms.items():
-            term = c
-            for x, e in zip(env, exps):
-                if e:
-                    term *= x ** e
-            total += term
-        return total

@@ -747,7 +747,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 loaded = set(sys.modules) - before
 print(json.dumps([code, sorted(m for m in loaded if m.split('.')[0] == 'buchi'),
-                  sorted(loaded & {'dataclasses', 'inspect'})]))
+                  sorted(loaded & {'dataclasses', 'inspect'}),
+                  sorted(loaded & {'decimal', 'fractions'})]))
 """
 
 
@@ -761,9 +762,11 @@ def _fresh_python(code: str, *args: str) -> str:
 class TestImportGraph:
     # One fresh interpreter for each subcommand group: an invocation
     # loads only the modules its subcommand runs, and never dataclasses
-    # or inspect, which cost about 10 ms of start-up.
+    # or inspect, which cost about 10 ms of start-up.  Only a command
+    # that loads buchi.exact reads rationals, so only it loads fractions
+    # and decimal.
     BASE = ["buchi", "buchi.cli"]
-    PARSER = ["buchi.exact", "buchi.reduction", "buchi.reduction.parser", "buchi.symbolic"]
+    PARSER = ["buchi.reduction", "buchi.reduction.parser"]
     COMPILER = PARSER + ["buchi.reduction.compiler", "buchi.reduction.formulas",
                          "buchi.reduction.lower"]
     GROUPS = {
@@ -771,7 +774,7 @@ class TestImportGraph:
         "surface": (["surface", "scan", "--nodes", "1,2,3,4", "--height", "30"],
                     ["buchi.exact", "buchi.surfaces"]),
         "padic": (["padic", "ldl", "--p", "3", "--num", "z^2", "--rho", "1"],
-                  PARSER + ["buchi.nevanlinna"]),
+                  PARSER + ["buchi.exact", "buchi.nevanlinna", "buchi.symbolic"]),
         "compile": (["compile", "--in", "{src}"], COMPILER),
         "check": (["check", "--in", "{src}", "--box", "2"], COMPILER + ["buchi.sequences"]),
         "formulas": (["formulas", "--mode", "F"],
@@ -783,11 +786,20 @@ class TestImportGraph:
         src = tmp_path / "sys.dioph"
         src.write_text("x*y = 6; x + y = 5\n")
         argv, modules = self.GROUPS[group]
-        code, loaded, slow_imports = json.loads(_fresh_python(
+        code, loaded, slow_imports, rationals = json.loads(_fresh_python(
             LOADED_BY_MAIN, *(a.format(src=src) for a in argv)))
         assert code == 0
         assert loaded == sorted(self.BASE + modules)
         assert slow_imports == []
+        if "buchi.exact" not in modules:
+            assert rationals == []
+
+    def test_conic_identity_loads_no_symbolic(self):
+        out = _fresh_python(
+            "import sys\n"
+            "from buchi.surfaces import conic_integrality_identity\n"
+            "print(conic_integrality_identity(), 'buchi.symbolic' in sys.modules)")
+        assert out.split() == ["True", "False"]
 
     def test_import_buchi_loads_no_submodule(self):
         out = _fresh_python(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from buchi.exact import (INFINITY, as_fraction, is_prime, is_square_int,
-                         is_square_rat, valuation)
+                         is_square_rat, valuation, vanishes_on_grid)
 
 isqrt = math.isqrt
 
@@ -135,3 +135,35 @@ class TestAsFraction:
             with pytest.raises(ValueError, match="zero denominator"):
                 as_fraction(text)
         assert as_fraction("0/7") == 0
+
+
+class TestVanishesOnGrid:
+    def test_degree_bound_decides(self):
+        # x(x-1)(x-2) vanishes on {0, 1, 2} but has degree 3: only a
+        # grid of 4 points, as its degree asks, tells it from zero
+        def cubic(x):
+            return x * (x - 1) * (x - 2)
+
+        assert vanishes_on_grid(cubic, (2,))
+        assert not vanishes_on_grid(cubic, (3,))
+
+    def test_conic_with_a_bumped_coefficient_fails(self):
+        def pullback(c, d2, x1, x2, bump=0):
+            lhs = ((c ** 2 + bump) * x2 ** 2
+                   + c * (c - d2) * (d2 ** 2 - x1 ** 2 - x2 ** 2)
+                   + (c - d2) ** 2 * x1 ** 2)
+            return lhs - d2 * (d2 * c * (c - d2) - (c - d2) * x1 ** 2 + c * x2 ** 2)
+
+        assert vanishes_on_grid(pullback, (2, 3, 2, 2))
+        assert not vanishes_on_grid(lambda *point: pullback(*point, bump=1), (2, 3, 2, 2))
+
+    def test_square_difference_factorization_mod_alpha(self):
+        # (a+f)^2 - (alpha*f + b)^2 = (a - alpha*b)(a + alpha*b + 2f) once
+        # alpha^2 = 1 is imposed: degree 2 in each of a, f and b, so a 3^3
+        # grid decides it at alpha = 1 and at alpha = -1
+        def difference(a, f, b, alpha):
+            return (a + f) ** 2 - (alpha * f + b) ** 2 - (a - alpha * b) * (a + alpha * b + 2 * f)
+
+        for alpha in (1, -1):
+            assert vanishes_on_grid(lambda a, f, b: difference(a, f, b, alpha), (2, 2, 2))
+        assert not vanishes_on_grid(difference, (2, 2, 2, 2))  # distinct before the relation

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from buchi.exact import valuation
+from buchi.exact import INFINITY, valuation
 from buchi.nevanlinna import (INF, LDL_BUDGET, RADII_BUDGET, NewtonSegment,
                               check_fmt, check_ldl, check_pjf, check_smt, count_zeros,
                               delta_identity, difference_identity,
@@ -157,6 +157,7 @@ class TestHeightN:
         assert height_N(Z, 0, 2, -3) == -3
 
     def test_simple_pole(self):
+        assert INF is INFINITY  # one infinity marker: the valuation of zero
         f = 1 / (Z - 1)
         assert height_N(f, INF, 5, 2) == 2
         assert height_N(f, INF, 5, -1) == 0
