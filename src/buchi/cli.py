@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import guard
@@ -72,7 +73,11 @@ def _numbers(text: str) -> list[str]:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in _numbers(text)]
+    parts = _numbers(text)
+    for part in parts:
+        if not re.fullmatch("-?[0-9]+", part):
+            raise ValueError(f"{part!r} is not an integer")
+    return [int(part) for part in parts]
 
 
 def _emit(args, payload: dict, human) -> None:

@@ -275,9 +275,10 @@ def check_ldl(f, n: int, p: int, rho) -> bool:
     return gauss_log_norm(fn / f, p, r) <= -n * r
 
 
-def _eventual_bound(polys, quotients) -> Fraction:
-    """A radius beyond which every involved piecewise-linear function is
-    affine and every positive-part clip has settled.
+def _sweep(value, grid, polys, quotients) -> tuple:
+    """value, made of the log-norms of polys and the positive parts of
+    those of quotients, at each radius of the grid; a radius beyond which
+    it is affine; its slope there; and its value one past that radius.
 
     Past the last kink of its polygon, log|h| is the leading term's
     deg(h)*rho - v_p(lead h), so the log-norm of a quotient h/k changes
@@ -287,7 +288,9 @@ def _eventual_bound(polys, quotients) -> Fraction:
         (dh, vh), (dk, vk) = h.points[-1], k.points[-1]
         if dh != dk:
             bound = max(bound, Fraction(vh - vk, dh - dk))
-    return bound
+    values = tuple(value(r) for r in grid)
+    v1 = value(bound + 1)
+    return values, bound, value(bound + 2) - v1, v1
 
 
 class FmtReport(Record):
@@ -320,15 +323,9 @@ def check_fmt(f, a, p: int, rhos) -> FmtReport:
         return (_log_plus(den.log_norm(r) - fa.log_norm(r)) + fa.height(r)
                 - _log_plus(num.log_norm(r) - den.log_norm(r)) - den.height(r))
 
-    bound = _eventual_bound((num, den, fa), ((num, den), (fa, den)))
-    values = tuple(defect(r) for r in grid)
-    v1 = defect(bound + 1)
-    v2 = defect(bound + 2)
-    return FmtReport(a=a, grid=grid, values=values,
-                     spread=max(values) - min(values),
-                     stable_beyond=bound,
-                     eventual_slope=v2 - v1,
-                     eventual_value=v1)
+    values, bound, slope, v1 = _sweep(defect, grid, (num, den, fa), ((num, den), (fa, den)))
+    return FmtReport(a=a, grid=grid, values=values, spread=max(values) - min(values),
+                     stable_beyond=bound, eventual_slope=slope, eventual_value=v1)
 
 
 class SmtReport(Record):
@@ -365,14 +362,9 @@ def check_smt(f, targets, p: int, rhos) -> SmtReport:
         log_den, height = den.log_norm(r), den.height(r)
         return sum(_log_plus(log_den - fa.log_norm(r)) for fa in fas) - height
 
-    bound = _eventual_bound([den, *fas], [(fa, den) for fa in fas])
-    values = tuple(value(r) for r in grid)
-    v1 = value(bound + 1)
-    v2 = value(bound + 2)
-    return SmtReport(targets=ts, grid=grid, values=values,
-                     sup=max(values),
-                     stable_beyond=bound,
-                     eventual_slope=v2 - v1)
+    values, bound, slope, _ = _sweep(value, grid, [den, *fas], [(fa, den) for fa in fas])
+    return SmtReport(targets=ts, grid=grid, values=values, sup=max(values),
+                     stable_beyond=bound, eventual_slope=slope)
 
 
 # Budget of delta_identity (resource guard) on its cost (G + 4E)**2 *

@@ -1,6 +1,6 @@
 """Recursive-descent parser for integer polynomial equation systems.
 
-Grammar (UTF-8, '#' comments, equations separated by ';'):
+Grammar (ASCII tokens, equations separated by ';'):
 
     system   := equation (';' equation)* [';']
     equation := expr '=' expr
@@ -9,9 +9,11 @@ Grammar (UTF-8, '#' comments, equations separated by ';'):
     factor   := ('-' | '+') factor | atom ['^' INT]
     atom     := INT | IDENT | '(' expr ')'
 
-An IDENT starts with a letter and goes on with letters, digits and '_';
-a leading '_' is refused, because the compiler names its target
-variables _t<n>, _u<n> and _w<n>.
+An INT is a run of digits 0-9, and an IDENT starts with a letter A-Z or
+a-z and goes on with those letters, digits and '_'; a leading '_' is
+refused, because the compiler names its target variables _t<n>, _u<n>
+and _w<n>.  A '#' comment runs to the end of its line and may hold any
+character; any other character but blanks is refused where it stands.
 
 The syntax tree has five node types: the leaves Num and Var, and
 Pow(base, exponent), Sum(terms) and Product(factors).  A Sum holds the
@@ -31,6 +33,7 @@ to UPoly and MPoly each pass it their own operators.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 from functools import partial, reduce
 from itertools import repeat
@@ -88,56 +91,36 @@ _SYMBOLS = {"+": "PLUS", "-": "MINUS", "*": "STAR", "^": "CARET",
             "(": "LPAREN", ")": "RPAREN", "=": "EQUALS", ";": "SEMI"}
 
 
+# The lexical grammar of the module docstring, one named group per lexeme.
+_LEXEME = re.compile(r"(?P<NEWLINE>\n)|(?P<BLANK>[ \t\r]+)|(?P<COMMENT>#[^\n]*)"
+                     r"|(?P<INT>[0-9]+)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+                     f"|(?P<SYMBOL>[{re.escape(''.join(_SYMBOLS))}])|(?P<OTHER>.)")
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, start = 1, 0  # start: the index at which the line begins
+    for lexeme in _LEXEME.finditer(text):
+        kind, word, col = lexeme.lastgroup, lexeme.group(), lexeme.start() - start + 1
+        if kind == "NEWLINE":
+            line, start = line + 1, lexeme.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
+        if kind == "BLANK" or kind == "COMMENT":
             continue
         guard("MAX_TOKENS", len(tokens) + 1, MAX_TOKENS, "tokens", ParseError, line, col)
-        if ch in _SYMBOLS:
-            tokens.append(Token(_SYMBOLS[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            digits = text[start:i].lstrip("0") or "0"
+        if kind == "OTHER":
+            raise ParseError(f"unexpected character {word!r}", line, col)
+        if kind == "INT":
+            word = word.lstrip("0") or "0"
             # its bits: exact up to the 4300 digits int() takes, more beyond
-            guard("MAX_CONSTANT_BITS", int(digits[:4300]).bit_length(), MAX_CONSTANT_BITS,
+            guard("MAX_CONSTANT_BITS", int(word[:4300]).bit_length(), MAX_CONSTANT_BITS,
                   "bits of an integer literal", ParseError, line, col)
-            tokens.append(Token("INT", digits, line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            if ch == "_":
-                raise ParseError(f"identifier {text[start:i]!r} starts with '_', which "
-                                 "is reserved for the target variables _t, _u and _w",
-                                 line, col)
-            tokens.append(Token("IDENT", text[start:i], line, col))
-            col += i - start
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+        elif kind == "IDENT" and word[0] == "_":
+            raise ParseError(f"identifier {word!r} starts with '_', which is reserved "
+                             "for the target variables _t, _u and _w", line, col)
+        tokens.append(Token(_SYMBOLS.get(word, kind), word, line, col))
+    # EOF stands at the end of the last line, or at its comment if it has one
+    tokens.append(Token("EOF", "", line, len(text[start:].partition("#")[0]) + 1))
     return tokens
 
 
@@ -186,10 +169,12 @@ def _product(factors: list):
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str, what: str):
+        self.tokens = tokenize(text)
         self.pos = 0
-        self.names: set[str] = set()
+        self.names: dict[str, Token] = {}  # each name's first token, in source order
+        if self.current.kind == "EOF":
+            raise ParseError(f"empty {what}", self.current.line, self.current.col)
 
     @property
     def current(self) -> Token:
@@ -259,7 +244,7 @@ class _Parser:
             return Num(int(tok.text))
         if tok.kind == "IDENT":
             self.pos += 1
-            self.names.add(tok.text)
+            self.names.setdefault(tok.text, tok)
             return Var(tok.text)
         if tok.kind == "LPAREN":
             self.pos += 1
@@ -272,10 +257,7 @@ class _Parser:
 
 def parse(text: str) -> SourceSystem:
     """Parse a ';'-separated equation system into a SourceSystem."""
-    tokens = tokenize(text)
-    if tokens[0].kind == "EOF":
-        raise ParseError("empty system", tokens[0].line, tokens[0].col)
-    return _Parser(tokens).parse_system()
+    return _Parser(text, "system").parse_system()
 
 
 def bounded(value: int) -> int:
@@ -357,21 +339,20 @@ def _size_bound(expr) -> tuple[int, int]:
 def parse_poly(text: str) -> UPoly:
     """Parse a single expression in z as an exact polynomial.
 
-    Shares the system grammar (minus '=' and ';'); any identifier other
-    than z is rejected, and so is an expression whose degree bound
-    exceeds MAX_POLY_DEGREE, whose bound on the sum of its coefficients'
-    absolute values exceeds MAX_CONSTANT_BITS bits, or for which the
-    degree bound squared times the bits of that sum exceeds MAX_POLY_SIZE.
+    Shares the system grammar (minus '=' and ';'); the first identifier
+    other than z is rejected where it stands, and so is an expression
+    whose degree bound exceeds MAX_POLY_DEGREE, whose bound on the sum of
+    its coefficients' absolute values exceeds MAX_CONSTANT_BITS bits, or
+    for which the degree bound squared times the bits of that sum exceeds
+    MAX_POLY_SIZE.
     """
-    tokens = tokenize(text)
-    if tokens[0].kind == "EOF":
-        raise ParseError("empty polynomial", tokens[0].line, tokens[0].col)
-    parser = _Parser(tokens)
+    parser = _Parser(text, "polynomial")
     expr = parser.parse_expr()
     parser.eat("EOF")
-    if not parser.names <= {"z"}:
-        bad = sorted(parser.names - {"z"})[0]
-        raise ParseError(f"unknown variable {bad!r} (only 'z' is allowed)", 1, 1)
+    for name, tok in parser.names.items():
+        if name != "z":
+            raise ParseError(f"unknown variable {name!r} (only 'z' is allowed)",
+                             tok.line, tok.col)
     degree, norm = _size_bound(expr)
     guard("MAX_POLY_DEGREE", degree, MAX_POLY_DEGREE, "polynomial degree bound")
     guard("MAX_POLY_SIZE", degree ** 2 * norm.bit_length(), MAX_POLY_SIZE,

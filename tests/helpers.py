@@ -6,7 +6,8 @@ from math import isqrt
 
 from buchi import guard
 from buchi.reduction.compiler import CHECK_WORK_BUDGET, W_BOUND_BUDGET, EquisatReport
-from buchi.reduction.parser import Num, Pow, Product, Sum, Var, bounded_pow
+from buchi.reduction.parser import (_SYMBOLS, MAX_CONSTANT_BITS, MAX_TOKENS, Num, ParseError,
+                                    Pow, Product, Sum, Token, Var, bounded_pow)
 from buchi.sequences import BuchiSequence, _smallest_prime_factors, closed_form, search
 from buchi.symbolic import RatFunc, UPoly
 
@@ -136,6 +137,62 @@ def factor_pair_search(length: int, bound: int) -> list[BuchiSequence]:
                     found.append(BuchiSequence(values))
     found.sort(key=lambda seq: seq.values)
     return found
+
+
+def scalar_tokenize(text: str) -> list[Token]:
+    """reduction.parser.tokenize as a loop over the characters, which
+    reads digits and letters with str.isdigit and str.isalpha, so it
+    agrees with tokenize on ASCII text only."""
+    tokens: list[Token] = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        guard("MAX_TOKENS", len(tokens) + 1, MAX_TOKENS, "tokens", ParseError, line, col)
+        if ch in _SYMBOLS:
+            tokens.append(Token(_SYMBOLS[ch], ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch.isdigit():
+            start = i
+            while i < n and text[i].isdigit():
+                i += 1
+            digits = text[start:i].lstrip("0") or "0"
+            # its bits: exact up to the 4300 digits int() takes, more beyond
+            guard("MAX_CONSTANT_BITS", int(digits[:4300]).bit_length(), MAX_CONSTANT_BITS,
+                  "bits of an integer literal", ParseError, line, col)
+            tokens.append(Token("INT", digits, line, col))
+            col += i - start
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            if ch == "_":
+                raise ParseError(f"identifier {text[start:i]!r} starts with '_', which "
+                                 "is reserved for the target variables _t, _u and _w",
+                                 line, col)
+            tokens.append(Token("IDENT", text[start:i], line, col))
+            col += i - start
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(Token("EOF", "", line, col))
+    return tokens
 
 
 # Scalar oracles of the reduction's column kernels, each on one

@@ -53,6 +53,14 @@ class TestSeq:
         code, _, err = run(capsys, "seq", "verify", "1,2")
         assert code == 1 and "buchi: error" in err
 
+    def test_verify_reads_ascii_integers_only(self, capsys):
+        # each number is -?[0-9]+, as in a source; not int()'s syntax
+        for part in ("1_0", "٣", "1.5", "1e3", "+5", " 6"):
+            code, out, err = run(capsys, "seq", "verify", f"{part},23,32,39")
+            assert (code, out, err) == (1, "", f"buchi: error: {part!r} is not an integer\n")
+        code, out, _ = run(capsys, "seq", "verify", "6,-023,32,39")
+        assert code == 0 and out.strip() == "buchi: yes, nontrivial"
+
     def test_search_json_schema(self, capsys):
         payload = run_json(capsys, "seq", "search", "--length", "4",
                            "--bound", "100", "--json")
@@ -181,6 +189,13 @@ class TestPadic:
             code, out, err = run(capsys, "padic", "norm", "--p", p,
                                  "--poly", "z", "--rho", "1")
             assert code == 1 and out == "" and "buchi: error" in err
+
+    def test_poly_refused_where_it_stands(self, capsys):
+        for poly, message in (("z²", "line 1, column 2: unexpected character '²'"),
+                              ("z + 3*y", "line 1, column 7: unknown variable 'y'")):
+            code, out, err = run(capsys, "padic", "norm", "--p", "2", "--poly", poly,
+                                 "--rho", "1")
+            assert code == 1 and out == "" and err.startswith(f"buchi: error: {message}"), err
 
     def test_zeros(self, capsys):
         payload = run_json(capsys, "padic", "zeros", "--p", "2",
@@ -488,6 +503,17 @@ class TestCompileCheck:
         src.write_text("x + = 3\n")
         code, _, err = run(capsys, "compile", "--in", str(src))
         assert code == 1 and "column 5" in err
+
+    @pytest.mark.parametrize("command", ["compile", "check"])
+    def test_non_ascii_refused_where_it_stands(self, capsys, tmp_path, command):
+        src = tmp_path / "sys.dioph"
+        for text, message in (("x = 2²", "line 1, column 6: unexpected character '²'"),
+                              ("x = ٣", "line 1, column 5: unexpected character '٣'"),
+                              ("é = 1", "line 1, column 1: unexpected character 'é'")):
+            src.write_text(text + "\n", encoding="utf-8")
+            code, out, err = run(capsys, command, "--in", str(src), *(
+                ["--box", "1"] if command == "check" else []))
+            assert (code, out, err) == (1, "", f"buchi: error: {message}\n")
 
 
 def _expr_argv(command: str, expr: str, src) -> list[str]:

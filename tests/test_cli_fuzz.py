@@ -35,7 +35,7 @@ BUDGETS = readme_table()
 DEADLINE = 2.0
 GUARD = re.compile(r"buchi: error: (?:line \d+, column \d+: )?\S.* (?:\d+|of \d+ bits) "
                    r"> (\w+) = (\d+) refused \(resource guard\)")
-INTERNAL = ("exceeds the limit", "set_int_max_str_digits", "recursion")
+INTERNAL = ("exceeds the limit", "set_int_max_str_digits", "recursion", "invalid literal")
 
 
 def leaves(parser: argparse.ArgumentParser, path: tuple = ()):
@@ -106,8 +106,8 @@ def squares(terms: int) -> str:
 SOURCES = st.one_of(
     st.builds("x = {}".format, expressions(["y", "z"])),
     st.builds("{} = {}".format, expressions(["x", "y"]), expressions(["a", "b"])),
-    st.sampled_from(["x*y = z", "x*y = 6; x + y = 5", "x + = 3", "", "_t0 = 1",
-                     squares(10), squares(GADGET_BUDGET // MAX_M),
+    st.sampled_from(["x*y = z", "x*y = 6; x + y = 5", "x + = 3", "", "_t0 = 1", "x = 2²",
+                     "x = é", squares(10), squares(GADGET_BUDGET // MAX_M),
                      squares(GADGET_BUDGET // MAX_M + 1)]))
 
 # Values of the options that are not integers, by destination; --in

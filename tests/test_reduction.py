@@ -20,7 +20,8 @@ from buchi.reduction.parser import (MAX_CONSTANT_BITS, MAX_DEPTH, MAX_POLY_DEGRE
 from buchi.surfaces import BuchiSurface, surface_equations
 from buchi.symbolic import UPoly
 from helpers import (DEEP_SHAPES, FLAT_LENGTH, dense_poly, mixed_nesting,
-                     scalar_bounded_equisat, scalar_residual, scalar_run_trace)
+                     scalar_bounded_equisat, scalar_residual, scalar_run_trace,
+                     scalar_tokenize)
 
 
 class TestParser:
@@ -72,9 +73,15 @@ class TestParser:
         assert parse_poly("(z-1)*(z+1)") == UPoly((-1, 0, 1))
         assert parse_poly("-z^3") == UPoly((0, 0, 0, -1))
         with pytest.raises(ParseError):
-            parse_poly("1 + w")
-        with pytest.raises(ParseError):
             parse_poly("z = 1")
+        # the first unknown name in source order is refused where it stands
+        for text, message in (("1 + w", "line 1, column 5: unknown variable 'w'"),
+                              ("z + 3*y", "line 1, column 7: unknown variable 'y'"),
+                              ("z +\n w*b", "line 2, column 2: unknown variable 'w'"),
+                              ("(b + a)*b", "line 1, column 2: unknown variable 'b'")):
+            with pytest.raises(ParseError, match="^" + re.escape(message)):
+                parse_poly(text)
+        assert parse("b + a = b").variables == ("a", "b")
 
     def test_parse_poly_matches_mpoly_route(self):
         # The multivariate route parse_poly used to take, kept as oracle:
@@ -228,6 +235,66 @@ class TestParser:
         # one flat sum of MAX_POLY_DEGREE + 1 terms
         poly = parse_poly(dense_poly(MAX_POLY_DEGREE))
         assert poly.coeffs == (*range(2, MAX_POLY_DEGREE + 2), -MAX_POLY_DEGREE - 2)
+
+
+def lexed(tokenizer, text: str):
+    """tokenizer's tokens of text, or the text of the ParseError it raises."""
+    try:
+        return tokenizer(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestTokenize:
+    # every ASCII character, and more often those that make up tokens,
+    # blanks, comments and lines
+    ALPHABET = "".join(map(chr, range(128))) + 4 * "0123456789xyzAZ_ \t\r\n#+-*^()=;"
+
+    def test_matches_the_character_loop(self):
+        rng = random.Random(24)
+        for _ in range(20_000):
+            text = "".join(rng.choices(self.ALPHABET, k=rng.randint(0, 30)))
+            assert lexed(tokenize, text) == lexed(scalar_tokenize, text), repr(text)
+
+    def test_matches_the_character_loop_at_the_budgets(self):
+        # MAX_TOKENS - 1 tokens, with or without blanks, lines and comments
+        # between them, then nothing, a comment or a line, one token or
+        # two, or a reserved name or an unexpected character at or past
+        # MAX_TOKENS
+        flat = "z+" * (MAX_TOKENS // 2 - 1) + "z"
+        spread = "z +\t# c\n" * (MAX_TOKENS // 2 - 1) + "z\r"
+        texts = [body + end for body in (flat, spread)
+                 for end in ("", " # end", "\n", "+", "+z", "+_t", "+\x01", "\x01")]
+        # literals at MAX_CONSTANT_BITS bits and past, leading zeros not
+        # counted, and near the 4300 digits int() converts
+        edge = 2 ** MAX_CONSTANT_BITS
+        for literal in (str(edge - 1), str(edge), "0" * 5000 + str(edge - 1),
+                        "0" * 5000 + str(edge), "9" * 4299, "9" * 4300, "9" * 5000, "0" * 5000):
+            texts += [literal, f"x =\n  {literal} # c", f"z^{literal}x"]
+        for text in texts:
+            assert lexed(tokenize, text) == lexed(scalar_tokenize, text), text[-40:]
+
+    def test_positions(self):
+        # EOF stands at the end of the last line, or at its comment
+        for text, position in (("", (1, 1)), ("x  ", (1, 4)), ("x # c", (1, 3)),
+                               ("x # c # d", (1, 3)), ("x\n# c", (2, 1)), ("x\n", (2, 1))):
+            eof = tokenize(text)[-1]
+            assert (eof.kind, eof.line, eof.col) == ("EOF", *position), text
+        assert [(t.text, t.line, t.col) for t in tokenize("ab1 = 007\n\t(y_2)")] == [
+            ("ab1", 1, 1), ("=", 1, 5), ("7", 1, 7), ("(", 2, 2), ("y_2", 2, 3),
+            (")", 2, 6), ("", 2, 7)]
+
+    def test_non_ascii_refused_where_it_stands(self):
+        # a digit or letter outside ASCII is no token; a comment may hold it
+        for text, message in (("x = 2²", "line 1, column 6: unexpected character '²'"),
+                              ("x = ٣", "line 1, column 5: unexpected character '٣'"),
+                              ("é = 1", "line 1, column 1: unexpected character 'é'"),
+                              ("x = 1\n  yé = 2", "line 2, column 4: unexpected character 'é'")):
+            with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+                parse(text)
+        assert parse("x = 1  # é, 2², ٣\n").variables == ("x",)
+        with pytest.raises(ParseError, match="^line 1, column 2: unexpected character '²'$"):
+            parse_poly("z²")
 
 
 class TestLowering:
