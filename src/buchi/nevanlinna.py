@@ -31,7 +31,7 @@ valuations and Newton polygon once and reads every radius off them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from . import Record, guard
 from .exact import INFINITY as INF  # the target 'infinity': poles, not zeros
@@ -65,9 +65,10 @@ class NewtonPolygon(Record):
 class _PadicPoly(Record):
     """What no radius changes about a nonzero polynomial: the points
     (k, v_p(a_k)) of its nonzero coefficients by increasing k, its order
-    at 0 and its Newton polygon."""
+    at 0, its Newton polygon, the lcm L of its slopes' denominators and
+    the (length, slope * L) of each segment, in integers."""
 
-    __slots__ = ("points", "ord0", "polygon")
+    __slots__ = ("points", "ord0", "polygon", "scale", "kinks")
 
     def log_norm(self, rho: Fraction) -> Fraction:
         """max(k*rho - v) over the points, in integers: with rho = a/b and
@@ -76,12 +77,11 @@ class _PadicPoly(Record):
         return Fraction(max(k * a - v * b for k, v in self.points), b)
 
     def height(self, rho: Fraction) -> Fraction:
-        total = self.ord0 * rho
-        for s in self.polygon.segments:
-            shifted = rho + s.slope
-            if shifted > 0:
-                total += s.length * shifted
-        return total
+        """ord0*rho + the sum of length*max(0, rho + slope), in integers:
+        with rho = a/b and b > 0, every term is over b*L."""
+        a, b = rho.numerator * self.scale, rho.denominator
+        return Fraction(self.ord0 * a + sum(n * max(0, a + s * b) for n, s in self.kinks),
+                        b * self.scale)
 
 
 def _padic(h: UPoly, p: int) -> _PadicPoly:
@@ -100,7 +100,9 @@ def _padic(h: UPoly, p: int) -> _PadicPoly:
     segs = [NewtonSegment(Fraction(y1 - y2, x2 - x1), x2 - x1)
             for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
     segs.sort(key=lambda s: s.slope)
-    return _PadicPoly(pts, pts[0][0], NewtonPolygon(tuple(segs)))
+    scale = lcm(*(s.slope.denominator for s in segs))
+    kinks = tuple((s.length, s.slope.numerator * (scale // s.slope.denominator)) for s in segs)
+    return _PadicPoly(pts, pts[0][0], NewtonPolygon(tuple(segs)), scale, kinks)
 
 
 def _as_ratfunc(f) -> RatFunc:
@@ -228,14 +230,21 @@ def _radii(weight: int, rhos, f: RatFunc) -> list[Fraction]:
     return [as_fraction(r) for r in rhos]
 
 
-def check_pjf(f, p: int, rhos) -> Fraction:
+class PjfReport(Record):
+    """The radii, in the order given, and the constant log|f| - N(f,0) +
+    N(f,inf) that they all gave."""
+
+    __slots__ = ("grid", "constant")
+
+
+def check_pjf(f, p: int, rhos) -> PjfReport:
     """The constant log|f| - N(f,0) + N(f,inf), checked to be the same at
     every given radius (at least two).  Raises ArithmeticError naming the
     offending radius if the values ever disagreed."""
     f = _as_ratfunc(f)
     if f.is_zero:
         raise ValueError("zero function")
-    grid = _radii(1, rhos, f)
+    grid = tuple(_radii(1, rhos, f))
     if len(grid) < 2:
         raise ValueError("need at least 2 radii")
     num, den = _padic(f.num, p), _padic(f.den, p)
@@ -244,7 +253,7 @@ def check_pjf(f, p: int, rhos) -> Fraction:
     for r, c in zip(grid, constants):
         if c != constants[0]:
             raise ArithmeticError(f"constant mismatch at rho={r}: {c} != {constants[0]}")
-    return constants[0]
+    return PjfReport(grid=grid, constant=constants[0])
 
 
 # Largest accepted n * max(1, deg den) (resource guard): f^(n) has the

@@ -35,6 +35,18 @@ def rand_ratfunc(rng, max_deg=4, max_coeff=6, nonzero=False):
             return f
 
 
+def fraction_height(padic, rho: Fraction) -> Fraction:
+    """N(rho) = ord0*rho + the sum of length*max(0, rho + slope) of a
+    nevanlinna._PadicPoly, in Fractions segment by segment: the oracle of
+    its height in integers."""
+    total = padic.ord0 * rho
+    for s in padic.polygon.segments:
+        shifted = rho + s.slope
+        if shifted > 0:
+            total += s.length * shifted
+    return total
+
+
 def count_gcd_calls(monkeypatch) -> list:
     """A list that records every UPoly.gcd call from now on."""
     calls = []

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from buchi.cli import MAX_ARG_DIGITS, build_parser, main
+from buchi import cli
+from buchi.cli import MAX_ARG_DIGITS, _int, build_parser, main
 from buchi.nevanlinna import RADII_BUDGET
 from buchi.reduction.compiler import CHECK_WORK_BUDGET, GADGET_BUDGET
 from buchi.reduction.formulas import MAX_M
@@ -649,6 +652,20 @@ class TestNumberArguments:
         code, out, err = run(capsys, "formulas", "--mode", "Psi", "--deltas", f"1,{long}7")
         assert code == 1 and "MAX_ARG_DIGITS" in err
 
+    @pytest.mark.parametrize("text", ["1_1", "٣", " 1_0", "+3"])
+    def test_integer_options_read_ascii_digits_only(self, capsys, text):
+        # -?[0-9]+, as every other number: not int()'s syntax
+        for argv, flag in ((["padic", "norm", "--poly", "z", "--rho", "1", "--p"], "--p"),
+                           (["seq", "search", "--length", "4", "--bound"], "--bound"),
+                           (["check", "--in", "x.dioph", "--box"], "--box")):
+            code, out, err = run(capsys, *argv, text)
+            assert (code, out) == (2, "")
+            assert err.endswith(f": error: argument {flag}: invalid int value: {text!r}\n")
+        code, out, _ = run(capsys, "seq", "search", "--length", "3", "--bound", "010", "--json")
+        assert code == 0 and json.loads(out)["bound"] == 10
+        code, _, err = run(capsys, "padic", "norm", "--poly", "z", "--rho", "1", "--p=-03")
+        assert (code, err) == (1, "buchi: error: -3 is not prime\n")
+
 
 class TestHarness:
     def test_unknown_subcommand_is_usage_error(self, capsys):
@@ -700,10 +717,16 @@ README_CLI = re.search(r"## CLI\n\n```\n(.*?)```",
                        re.S).group(1).splitlines()
 
 
+# Each line of the README's CLI block as argv, with --emit json.
+README_ARGV = [["json" if w == "json|text" else w for w in shlex.split(line)[1:]
+                if w != "[--json]"] for line in README_CLI]
+LEAVES = sorted(path for path, parser in parsers(build_parser()) if parser.get_default("func"))
+
+
 class TestParserTree:
     # sha256 of the help text, handler and actions of all 20 parsers: a
     # change to how the tree is declared must leave every flag as it was
-    TREE = "66bc26c1ddd7c10e02f583e8ccc88f9d073155a0f725dd98154800e337bb17ee"
+    TREE = "6ee78b343eb3720c69acc52b5282c6274415c330c491a69cac819ad6e47d9c09"
 
     def test_tree_is_unchanged(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
@@ -733,6 +756,43 @@ class TestParserTree:
                 shown.add(parser.parse_args(argv).func)
         leaves = {sub.get_default("func") for _, sub in parsers(parser)} - {None}
         assert len(leaves) == 16 and leaves <= shown
+
+    @pytest.mark.parametrize("words", LEAVES, ids=" ".join)
+    def test_parser_of_one_subcommand_matches_the_tree(self, monkeypatch, words):
+        # what main builds from a subcommand's argv parses it as the whole
+        # tree does: the same help, Namespace, messages and exit status
+        monkeypatch.setenv("COLUMNS", "80")
+        example = next(argv for argv in README_ARGV if tuple(argv[:len(words)]) == words)
+        full, alone = build_parser(), build_parser(example)
+        assert [path for path, _ in parsers(alone)] == [words[:n] for n in range(len(words) + 1)]
+        assert dict(parsers(alone))[words].format_help() == dict(parsers(full))[words].format_help()
+        cases = [example, [*words, "-h"], list(words), [*example, "--no-such-flag"]]
+        cases += [[*example, f"{a.option_strings[0]}=1_1"]
+                  for a in dict(parsers(full))[words]._actions if a.type is _int][:1]
+        for argv in cases:
+            assert parsed(build_parser(argv), argv) == parsed(full, argv), argv
+        assert parsed(full, example)[3] is not None
+
+    def test_whole_tree_unless_argv_names_one_subcommand(self, monkeypatch):
+        for argv in ([], ["-h"], ["padic"], ["padic", "nope"], ["nope", "pjf"], ["-h", "padic"]):
+            assert len(list(parsers(build_parser(argv)))) == 20, argv
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda argv=None: built.append(argv) or
+                            build_parser(argv))
+        monkeypatch.setattr(sys, "argv", ["buchi", "seq", "verify", "6,23,32,39"])
+        assert main() == 0 and main(["formulas", "--mode", "F"]) == 0
+        assert built == [["seq", "verify", "6,23,32,39"], ["formulas", "--mode", "F"]]
+
+
+def parsed(parser: argparse.ArgumentParser, argv: list) -> tuple:
+    """(exit status, stdout, stderr, Namespace or None) of parsing argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args, code = parser.parse_args(argv), 0
+        except SystemExit as exc:
+            args, code = None, exc.code
+    return code, out.getvalue(), err.getvalue(), args
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -778,10 +838,12 @@ print(json.dumps([code, sorted(m for m in loaded if m.split('.')[0] == 'buchi'),
 """
 
 
+FRESH_ENV = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+FRESH_ENV["PYTHONPATH"] = str(SRC)
+
+
 def _fresh_python(code: str, *args: str) -> str:
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(SRC)
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+    return subprocess.run([sys.executable, "-c", code, *args], env=FRESH_ENV, check=True,
                           capture_output=True, text=True, timeout=60).stdout
 
 
@@ -852,3 +914,84 @@ class TestImportGraph:
             reduction.no_such_name
         with pytest.raises(AttributeError):
             buchi.no_such_module
+
+
+# An entry point that ends through the interpreter's teardown: the
+# reference for every exit status and message.
+TEARDOWN_ENTRY = ["-c", "import sys; from buchi.cli import main; sys.exit(main())"]
+# An atexit handler and a finalizer, then `python -m buchi` as a wrapper
+# would start it.
+WRAPPED = """
+import atexit, runpy, sys
+
+class Finalized:
+    def __del__(self):
+        print("teardown ran")
+
+kept = Finalized()
+atexit.register(print, "atexit handler ran")
+sys.argv = ["buchi", *sys.argv[1:]]
+runpy.run_module("buchi", run_name="__main__")
+"""
+
+
+def _process(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], env=FRESH_ENV, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=60)
+
+
+class TestModuleEntry:
+    # `python -m buchi` ends once its output is flushed: each byte, exit
+    # status and message is what main gives, and the atexit handlers run
+    def test_stdout_is_mains(self, capsys):
+        argv = ["seq", "search", "--length", "3", "--bound", "20000"]
+        code, out, err = run(capsys, *argv)
+        res = _process("-m", "buchi", *argv)
+        assert (res.returncode, res.stderr) == (code, err.encode()) == (0, b"")
+        assert res.stdout == out.encode() and len(res.stdout) > 1_000_000
+
+    @pytest.mark.parametrize("argv, code", [
+        (["seq", "verify", "6,23,32,39"], 0),
+        (["seq", "search", "--length", "3", "--bound", "1000000"], 1),
+        (["seq", "search", "--length", "3"], 2),
+        (["padic", "--help"], 0),
+    ])
+    def test_exit_status_and_messages_are_mains(self, capsys, argv, code):
+        expected = (code, *(text.encode() for text in run(capsys, *argv)[1:]))
+        res = _process("-m", "buchi", *argv)
+        assert (res.returncode, res.stdout, res.stderr) == expected
+        res = _process(*TEARDOWN_ENTRY, *argv)
+        assert (res.returncode, res.stdout, res.stderr) == expected
+
+    def test_atexit_handlers_run_and_teardown_does_not(self):
+        res = _process("-c", WRAPPED, "seq", "verify", "6,23,32,39")
+        assert (res.returncode, res.stderr) == (0, b"")
+        assert res.stdout == b"buchi: yes, nontrivial\natexit handler ran\n"
+
+    def test_reader_that_closes_early(self):
+        proc = subprocess.Popen([sys.executable, "-m", "buchi", "seq", "search", "--length", "3",
+                                 "--bound", "20000"], env=FRESH_ENV,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert err == b"buchi: error: [Errno 32] Broken pipe\n"
+
+    def test_failed_final_flush_is_reported_as_by_the_interpreter(self):
+        # the reader is gone before the one buffered line is flushed
+        results = []
+        for entry in (["-m", "buchi"], TEARDOWN_ENTRY):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                results.append(_process(*entry, "seq", "verify", "6,23,32,39", stdout=write))
+            finally:
+                os.close(write)
+        new, old = ((res.returncode, res.stderr) for res in results)
+        assert new == old and new[0] == 120 and b"BrokenPipeError" in new[1]

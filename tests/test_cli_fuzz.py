@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from buchi.cli import MAX_ARG_DIGITS, build_parser, main
+from buchi.cli import MAX_ARG_DIGITS, _int, build_parser, main
 from buchi.reduction.compiler import GADGET_BUDGET
 from buchi.reduction.formulas import MAX_M
 from buchi.reduction.parser import MAX_CONSTANT_BITS, MAX_DEPTH, MAX_EXPONENT, MAX_TOKENS
@@ -121,7 +121,7 @@ VALUES.update(dict.fromkeys(("values", "deltas", "point", "nodes", "rhos", "targ
 def value(action: argparse.Action):
     if action.choices:
         return st.sampled_from(sorted(action.choices))
-    return INTEGERS if action.type is int else VALUES[action.dest]
+    return INTEGERS if action.type is _int else VALUES[action.dest]
 
 
 @st.composite

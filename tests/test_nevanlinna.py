@@ -10,7 +10,7 @@ from buchi.nevanlinna import (INF, LDL_BUDGET, RADII_BUDGET, NewtonSegment,
                               gauss_log_norm, height_N, newton_polygon, prox_m)
 from buchi.nevanlinna import _padic
 from buchi.symbolic import RatFunc, UPoly
-from helpers import count_gcd_calls, rand_fraction, rand_ratfunc, rand_upoly
+from helpers import count_gcd_calls, fraction_height, rand_fraction, rand_ratfunc, rand_upoly
 
 Z = RatFunc.x()
 
@@ -174,6 +174,33 @@ class TestHeightN:
         with pytest.raises(ValueError):
             height_N(RatFunc.constant(3), 3, 2, 0)
 
+    def test_integer_height_matches_fraction_oracle(self):
+        # coefficients carrying powers of p give slopes with denominators,
+        # leading zeros give ord0 > 0, and a single term gives no segment;
+        # the radii include each kink -slope and radii over multiples of
+        # the slopes' denominators
+        rng = random.Random(53)
+        seen = {"no segment": 0, "ord0 > 0": 0, "fractional slope": 0}
+        for case in range(600):
+            p = (2, 3, 5, 7)[case % 4]
+            terms = 1 if case % 5 == 0 else rng.randint(2, 9)
+            coeffs = [rand_fraction(rng, 9, 5) * Fraction(p) ** rng.randint(-3, 6)
+                      for _ in range(terms - 1)]
+            coeffs = [0] * rng.randint(0, 3) + coeffs + [rand_fraction(rng, 9, 5, nonzero=True)]
+            padic = _padic(UPoly(coeffs), p)
+            slopes = [s.slope for s in padic.polygon.segments]
+            seen["no segment"] += not slopes
+            seen["ord0 > 0"] += padic.ord0 > 0
+            seen["fractional slope"] += any(s.denominator > 1 for s in slopes)
+            radii = [Fraction(r) for r in (0, -2, 3)] + [rand_fraction(rng, 40, 12)
+                                                         for _ in range(3)]
+            radii += [-s for s in slopes] + [Fraction(rng.randint(-40, 40),
+                                                      s.denominator * rng.randint(1, 4))
+                                             for s in slopes]
+            for rho in radii:
+                assert padic.height(rho) == fraction_height(padic, rho), (coeffs, p, rho)
+        assert min(seen.values()) >= 100, seen
+
 
 class TestProxM:
     def test_examples(self):
@@ -188,14 +215,14 @@ class TestProxM:
 
 class TestPjf:
     def test_identity_function(self):
-        assert check_pjf(Z, 2, (-2, 0, 1, 5)) == 0
+        assert check_pjf(Z, 2, (-2, 0, 1, 5)).constant == 0
 
     def test_shifted_reciprocal(self):
         f = (Z - 1) / Z
-        assert check_pjf(f, 2, (-2, -1, 0, 1, 3)) == 0
+        assert check_pjf(f, 2, (-2, -1, 0, 1, 3)).constant == 0
 
     def test_scaled_square(self):
-        assert check_pjf(5 * Z * Z, 5, (0, 1, 2)) == -1
+        assert check_pjf(5 * Z * Z, 5, (0, 1, 2)).constant == -1
 
     def test_constant_oracle_randomized(self):
         # independent oracle: C = -v_p(lowest num coeff) + v_p(lowest den coeff)
@@ -206,11 +233,16 @@ class TestPjf:
             grid = sorted({rand_fraction(rng, 6, 3) for _ in range(6)})
             if len(grid) < 2:
                 grid = [Fraction(0), Fraction(1)]
-            c = check_pjf(f, p, grid)
+            c = check_pjf(f, p, grid).constant
             num, den = f.num, f.den
             expected = (-valuation(num.coeffs[num.ord0], p)
                         + valuation(den.coeffs[den.ord0], p))
             assert c == expected
+
+    def test_report_keeps_the_radii_as_given(self):
+        report = check_pjf(Z, 2, ("3", "-2/4", 0, Fraction(7, 2)))
+        assert report.grid == (3, Fraction(-1, 2), 0, Fraction(7, 2))
+        assert all(type(r) is Fraction for r in report.grid) and report.constant == 0
 
     def test_needs_two_radii(self):
         with pytest.raises(ValueError):
@@ -412,7 +444,7 @@ class TestAgainstPerRadiusOracle:
 
             constants = {_oracle_log(f, p, r) - _oracle_N(f, 0, p, r)
                          + _oracle_N(f, INF, p, r) for r in grid}
-            assert {check_pjf(f, p, grid)} == constants
+            assert {check_pjf(f, p, grid).constant} == constants
 
             a = rand_fraction(rng, 6, 3)
 
