@@ -15,7 +15,9 @@ def _flushed() -> bool:
     return True
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """`python -m buchi` and the installed `buchi` script: main, ended at
+    its last byte."""
     code = main()
     # Once every byte is out, the interpreter's teardown, which frees each
     # module and object one by one, only adds 11-14 ms (2-vCPU VM, CPython
@@ -29,3 +31,7 @@ if __name__ == "__main__":
         if _flushed():
             os._exit(code)
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    run()

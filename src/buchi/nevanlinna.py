@@ -31,11 +31,11 @@ valuations and Newton polygon once and reads every radius off them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 
 from . import Record, guard
 from .exact import INFINITY as INF  # the target 'infinity': poles, not zeros
-from .exact import as_fraction, valuation
+from .exact import as_fraction, valuation, vanishes_on_grid
 from .symbolic import RatFunc, UPoly
 
 
@@ -111,12 +111,6 @@ def _as_ratfunc(f) -> RatFunc:
     return RatFunc(f)
 
 
-def _bits(*polys: UPoly) -> int:
-    """Largest numerator or denominator, in bits, of any coefficient."""
-    return max([max(abs(c.numerator).bit_length(), c.denominator.bit_length())
-                for h in polys for c in h.coeffs] or [0])
-
-
 # Largest min(deg) * max(deg) * bits of a quotient whose canonicalizing
 # gcd `quotient` runs (resource guard).  On random dense integer inputs
 # (2-vCPU VM, CPython 3.11) that gcd took at most 0.32 s from 9*10**4 to
@@ -128,7 +122,9 @@ QUOTIENT_GCD_BUDGET = 150_000
 def quotient(num: UPoly, den: UPoly) -> RatFunc:
     """num/den, refused by a resource guard before its canonicalizing gcd,
     run on first read, when min(deg)*max(deg)*bits > QUOTIENT_GCD_BUDGET."""
-    cost = min(num.degree, den.degree) * max(num.degree, den.degree) * _bits(num, den)
+    bits = max((max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+                for h in (num, den) for c in h.coeffs), default=0)
+    cost = min(num.degree, den.degree) * max(num.degree, den.degree) * bits
     guard("QUOTIENT_GCD_BUDGET", cost, QUOTIENT_GCD_BUDGET, "quotient gcd size")
     return RatFunc(num, den)
 
@@ -258,10 +254,11 @@ def check_pjf(f, p: int, rhos) -> PjfReport:
 
 # Largest accepted n * max(1, deg den) (resource guard): f^(n) has the
 # denominator den**(n+1), so its products grow with both.  f^(n)/f is
-# never reduced, since its norm needs no canonical form: at this budget,
-# seven shapes with 20-bit coefficients up to degree 42/40 (2-vCPU VM,
-# CPython 3.11) took 0.035 s together after f's own gcd, where reducing
-# f^(n)/f took 5.2 s.
+# never formed: the Gauss norm is multiplicative, so its norm is that of
+# f^(n) less that of f, and neither needs a canonical form.  At this
+# budget, seven shapes with 20-bit coefficients up to degree 42/40 (2-vCPU
+# VM, CPython 3.11) took 0.017 s together after f's own gcd, where
+# reducing f^(n)/f took 5.2 s.
 LDL_BUDGET = 40
 
 
@@ -281,7 +278,7 @@ def check_ldl(f, n: int, p: int, rho) -> bool:
     if fn.is_zero:
         return True
     r = as_fraction(rho)
-    return gauss_log_norm(fn / f, p, r) <= -n * r
+    return gauss_log_norm(fn, p, r) - gauss_log_norm(f, p, r) <= -n * r
 
 
 def _sweep(value, grid, polys, quotients) -> tuple:
@@ -376,15 +373,14 @@ def check_smt(f, targets, p: int, rhos) -> SmtReport:
                      stable_beyond=bound, eventual_slope=slope)
 
 
-# Budget of delta_identity (resource guard) on its cost (G + 4E)**2 *
-# (B + 10)**1.5, with E = deg f.den + deg u.den, 2G the degree bound of
-# g's numerator and B the input's largest coefficient in bits: the check
-# only multiplies, and E raises the degree of its products about four
-# times as fast as G.  On 380 random dense inputs (2-vCPU VM, CPython 3.11)
-# a cost up to 2*10**7 took at most 1.1 s.  (z+1)**d/(z-2)**d with
-# (z+3)**d/(2*z+5)**d costs 1.9*10**7 at d = 20 (0.33 s) and 7.2*10**7 at
-# d = 30 (1.3 s); (z+1)**200 with (z+3)**200 costs 3.3*10**8 (1.3 s).
-DELTA_SIZE_BUDGET = 20_000_000
+def _delta_residual(a, f, f1, u, u1):
+    """g'**2 - 4*f1**2*g - 4*u*(u*f1**2 - u1**2*u - u1*g') in five formal
+    symbols, f1 and u1 standing for f' and u', with g = (a + f)**2 - u**2
+    and g' = 2*(a + f)*f1 - 2*u*u1 by the Leibniz rule (a is constant).
+    Each symbol has degree at most 2 in it."""
+    g = (a + f) ** 2 - u ** 2
+    g1 = 2 * (a + f) * f1 - 2 * u * u1
+    return g1 ** 2 - 4 * f1 ** 2 * g - 4 * u * (u * f1 ** 2 - u1 ** 2 * u - u1 * g1)
 
 
 def delta_identity(f, u, a) -> bool:
@@ -393,24 +389,16 @@ def delta_identity(f, u, a) -> bool:
 
         g'**2 - 4*f'**2*g = 4*u*(u*f'**2 - u'**2*u - u'*g')
 
-    which holds identically for every rational f, u and constant a, by
-    products alone.  Refuses inputs beyond DELTA_SIZE_BUDGET."""
-    f = _as_ratfunc(f)
-    u = _as_ratfunc(u)
-    a = as_fraction(a)
-    e = f.den.degree + u.den.degree
-    half_deg_g = max(max(f.num.degree, f.den.degree) + u.den.degree,
-                     u.num.degree + f.den.degree)
-    bits = _bits(f.num, f.den, u.num, u.den)
-    cost = (half_deg_g + 4 * e) ** 2 * isqrt((bits + 10) ** 3)
-    guard("DELTA_SIZE_BUDGET", cost, DELTA_SIZE_BUDGET, "delta input cost")
-    g = (f + a) ** 2 - u ** 2
-    fp = f.derivative()
-    up = u.derivative()
-    gp = g.derivative()
-    delta = gp ** 2 - 4 * fp ** 2 * g
-    delta_n = u * fp ** 2 - up ** 2 * u - up * gp
-    return delta == 4 * u * delta_n
+    which holds identically for every rational f, u and constant a: the
+    difference of its sides is _delta_residual at (a, f, f', u, u'), a
+    polynomial of degree at most 2 in each of its five symbols, so
+    vanishes_on_grid certifies it once for all inputs on 3**5 = 243
+    points.  The inputs are only coerced, so a bad type raises; no product
+    or gcd of them runs."""
+    _as_ratfunc(f)
+    _as_ratfunc(u)
+    as_fraction(a)
+    return vanishes_on_grid(_delta_residual, (2,) * 5)
 
 
 def difference_identity(f, a_i, a_j, h_i_sq, h_j_sq) -> bool:

@@ -47,6 +47,15 @@ def fraction_height(padic, rho: Fraction) -> Fraction:
     return total
 
 
+def product_delta_identity(f, u, a) -> bool:
+    """g'**2 - 4*f'**2*g == 4*u*(u*f'**2 - u'**2*u - u'*g') with
+    g = (a + f)**2 - u**2, checked by RatFunc products: the differential
+    oracle of nevanlinna.delta_identity's grid certificate."""
+    g = (f + a) ** 2 - u ** 2
+    fp, up, gp = f.derivative(), u.derivative(), g.derivative()
+    return gp ** 2 - 4 * fp ** 2 * g == 4 * u * (u * fp ** 2 - up ** 2 * u - up * gp)
+
+
 def count_gcd_calls(monkeypatch) -> list:
     """A list that records every UPoly.gcd call from now on."""
     calls = []

@@ -25,7 +25,7 @@ from buchi.surfaces import (BuchiSurface, EvaluationNodes, MonicQuadratic,
                             contains, counterexample_family, f_of_point,
                             j_of_f, jacobian_rank, square_iff_trivial)
 from buchi.symbolic import RatFunc, UPoly
-from helpers import rand_fraction, rand_ratfunc, scalar_evaluate
+from helpers import product_delta_identity, rand_fraction, rand_ratfunc, scalar_evaluate
 
 
 def report(n: int, message: str, started: float) -> None:
@@ -229,7 +229,7 @@ def test_criterion_10_delta_and_difference_200(capsys):
         f = rand_ratfunc(rng, 4)
         u = rand_ratfunc(rng, 4)
         a = rand_fraction(rng, 6, 3)
-        assert delta_identity(f, u, a)
+        assert delta_identity(f, u, a) is product_delta_identity(f, u, a) is True
     for _ in range(200):
         f = rand_ratfunc(rng, 4)
         g = rand_ratfunc(rng, 4)

@@ -15,7 +15,7 @@ import pytest
 
 from buchi import cli
 from buchi.cli import MAX_ARG_DIGITS, _int, build_parser, main
-from buchi.nevanlinna import RADII_BUDGET
+from buchi.nevanlinna import QUOTIENT_GCD_BUDGET, RADII_BUDGET
 from buchi.reduction.compiler import CHECK_WORK_BUDGET, GADGET_BUDGET
 from buchi.reduction.formulas import MAX_M
 from buchi.reduction.parser import (MAX_CONSTANT_BITS, MAX_DEPTH, MAX_EXPONENT,
@@ -257,22 +257,32 @@ class TestPadic:
         ("(z+1)^40", "(z-2)^40", "(z+3)^40", "(2*z+5)^40"),
         ("(z+1)^200", "", "(z+3)^200", "")])
     def test_delta_guard(self, capsys, f_num, f_den, u_num, u_den):
+        # the identity is one grid certificate, whatever the size of f and
+        # u; what still refuses is QUOTIENT_GCD_BUDGET, on parsing a
+        # quotient whose canonical form would be costly
         t0 = time.monotonic()
         code, out, err = run(capsys, "padic", "delta", f"--f-num={f_num}", f"--f-den={f_den}",
                              f"--u-num={u_num}", f"--u-den={u_den}", "--a", "1")
-        assert code == 1 and out == "" and "(resource guard)" in err
+        if f_den:
+            assert code == 1 and out == ""
+            assert f"> QUOTIENT_GCD_BUDGET = {QUOTIENT_GCD_BUDGET} refused (resource guard)" in err
+        else:
+            assert (code, out, err) == (0, "delta identity: true\n", "")
         assert time.monotonic() - t0 < 1
 
-    @pytest.mark.parametrize("d", [8, 20])
+    @pytest.mark.parametrize("d", [8, 20, 37, 38])
     def test_delta_binomial_family(self, capsys, d):
-        # the check only multiplies, so these pass the budget; d = 8 is fast
+        # (z+3)^d/(2*z+5)^d passes QUOTIENT_GCD_BUDGET up to d = 37
         t0 = time.monotonic()
-        code, out, _ = run(capsys, "padic", "delta", f"--f-num=(z+1)^{d}",
-                           f"--f-den=(z-2)^{d}", f"--u-num=(z+3)^{d}",
-                           f"--u-den=(2*z+5)^{d}", "--a", "1")
-        assert code == 0 and out == "delta identity: true\n"
-        if d == 8:
-            assert time.monotonic() - t0 < 1
+        code, out, err = run(capsys, "padic", "delta", f"--f-num=(z+1)^{d}",
+                             f"--f-den=(z-2)^{d}", f"--u-num=(z+3)^{d}",
+                             f"--u-den=(2*z+5)^{d}", "--a", "1")
+        if d <= 37:
+            assert code == 0 and out == "delta identity: true\n"
+        else:
+            assert code == 1 and out == ""
+            assert f"> QUOTIENT_GCD_BUDGET = {QUOTIENT_GCD_BUDGET} refused (resource guard)" in err
+        assert time.monotonic() - t0 < 1
 
     def test_fmt(self, capsys):
         payload = run_json(capsys, "padic", "fmt", "--p", "2", "--num", "z-1",
@@ -962,6 +972,16 @@ class TestModuleEntry:
         assert (res.returncode, res.stdout, res.stderr) == expected
         res = _process(*TEARDOWN_ENTRY, *argv)
         assert (res.returncode, res.stdout, res.stderr) == expected
+
+    @pytest.mark.parametrize("argv, code", [(["seq", "verify", "6,23,32,39"], 0),
+                                            (["seq", "search", "--length", "3"], 2)])
+    def test_installed_script_entry_is_the_modules(self, argv, code):
+        # the `buchi` script of pyproject.toml calls run, as -m does
+        module = _process("-m", "buchi", *argv)
+        script = _process("-c", "from buchi.__main__ import run; run()", *argv)
+        assert (script.returncode, script.stdout, script.stderr) == \
+            (module.returncode, module.stdout, module.stderr)
+        assert module.returncode == code and (module.stdout if code == 0 else module.stderr)
 
     def test_atexit_handlers_run_and_teardown_does_not(self):
         res = _process("-c", WRAPPED, "seq", "verify", "6,23,32,39")

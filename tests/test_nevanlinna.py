@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from buchi.exact import INFINITY, valuation
+from buchi.exact import INFINITY, valuation, vanishes_on_grid
 from buchi.nevanlinna import (INF, LDL_BUDGET, RADII_BUDGET, NewtonSegment,
                               check_fmt, check_ldl, check_pjf, check_smt, count_zeros,
                               delta_identity, difference_identity,
                               gauss_log_norm, height_N, newton_polygon, prox_m)
-from buchi.nevanlinna import _padic
+from buchi.nevanlinna import _delta_residual, _padic
 from buchi.symbolic import RatFunc, UPoly
-from helpers import count_gcd_calls, fraction_height, rand_fraction, rand_ratfunc, rand_upoly
+from helpers import (count_gcd_calls, fraction_height, product_delta_identity, rand_fraction,
+                     rand_ratfunc, rand_upoly)
 
 Z = RatFunc.x()
 
@@ -296,6 +297,20 @@ class TestLdl:
             rho = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
             assert check_ldl(f, n, p, rho)
 
+    def test_norm_difference_matches_the_quotient(self):
+        # on test_randomized's inputs: |f^(n)| less |f| is the norm of the
+        # quotient f^(n)/f, which check_ldl does not form
+        rng = random.Random(19)
+        for _ in range(500):
+            f = rand_ratfunc(rng, 6, nonzero=True)
+            n = rng.randint(1, 3)
+            p = rng.choice((2, 3, 5, 7))
+            rho = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            fn = f.derivative(n)
+            if not fn.is_zero:
+                assert (gauss_log_norm(fn, p, rho) - gauss_log_norm(f, p, rho)
+                        == gauss_log_norm(fn / f, p, rho))
+
 
 class TestFmt:
     def test_identity_function_zero_defect(self):
@@ -493,14 +508,17 @@ class TestDeltaIdentity:
         assert delta_identity(f, RatFunc.constant(0), 1)
 
     def test_randomized(self):
+        # the certificate against the RatFunc products of its oracle
         rng = random.Random(61)
         for _ in range(200):
             f = rand_ratfunc(rng, 4)
             u = rand_ratfunc(rng, 4)
             a = rand_fraction(rng, 6, 3)
-            assert delta_identity(f, u, a)
+            assert delta_identity(f, u, a) is product_delta_identity(f, u, a) is True
 
     def test_gcds_only_for_the_inputs(self, monkeypatch):
+        # the certificate reads nothing of f and u, not even their
+        # canonical forms, so no gcd runs at all
         calls = count_gcd_calls(monkeypatch)
         rng = random.Random(63)
         for _ in range(20):
@@ -509,10 +527,51 @@ class TestDeltaIdentity:
                         common * rand_upoly(rng, 3, nonzero=True))
             u = RatFunc(common * rand_upoly(rng, 3, nonzero=True),
                         common * rand_upoly(rng, 3, nonzero=True))
-            del calls[:]
             assert delta_identity(f, u, rand_fraction(rng, 6, 3))
-            assert len(calls) == 2  # one canonical form per input
-            assert delta_identity(f, u, 1) and len(calls) == 2
+            assert delta_identity(f, u, 1) and calls == []
+
+    def test_bad_types_raise(self):
+        with pytest.raises(TypeError):
+            delta_identity(1.5, Z, 1)
+        with pytest.raises(TypeError):
+            delta_identity(Z, "z", 1)
+        with pytest.raises(TypeError):
+            delta_identity(Z, Z, 0.5)
+        with pytest.raises(ValueError):
+            delta_identity(Z, Z, "1/0")
+
+    def test_leibniz_rule(self):
+        # what ties the formal symbols f1, u1 and g' of _delta_residual to
+        # the derivatives of the user's f and u
+        rng = random.Random(67)
+        for _ in range(200):
+            f = rand_ratfunc(rng, 4)
+            u = rand_ratfunc(rng, 4)
+            a = rand_fraction(rng, 6, 3)
+            fp, up = f.derivative(), u.derivative()
+            assert (f + u).derivative() == fp + up
+            assert (f * u).derivative() == fp * u + f * up
+            assert ((a + f) ** 2 - u ** 2).derivative() == 2 * (a + f) * fp - 2 * u * up
+
+    def test_residual_is_zero_of_degree_two(self):
+        # the certificate's premises, from an independent algebra system:
+        # each of the residual's three summands, and so the residual, has
+        # degree at most 2 in each symbol, and the residual expands to 0
+        sympy = pytest.importorskip("sympy")
+        symbols = sympy.symbols("a f f1 u u1")
+        residual = _delta_residual(*symbols)
+        summands = sympy.Add.make_args(residual)
+        assert len(summands) == 3
+        for term in summands:
+            assert max(sympy.Poly(term, *symbols).degree_list()) == 2
+        assert sympy.expand(residual) == 0
+
+    def test_tampered_residual_fails_on_the_grid(self):
+        def tampered(a, f, f1, u, u1):
+            return _delta_residual(a, f, f1, u, u1) + u * u1 * f1
+
+        assert vanishes_on_grid(_delta_residual, (2,) * 5)
+        assert not vanishes_on_grid(tampered, (2,) * 5)
 
 
 class TestDifferenceIdentity:
