@@ -106,13 +106,10 @@ def _emit(args, payload: dict, human) -> None:
 
 
 def _ratfunc(args, num_attr: str = "num", den_attr: str = "den"):
-    from . import nevanlinna
     from .reduction.parser import parse_poly
-    from .symbolic import UPoly
-    num = parse_poly(getattr(args, num_attr))
+    from .symbolic import RatFunc
     den_text = getattr(args, den_attr, None)
-    den = parse_poly(den_text) if den_text else UPoly.constant(1)
-    return nevanlinna.quotient(num, den)
+    return RatFunc(parse_poly(getattr(args, num_attr)), parse_poly(den_text) if den_text else 1)
 
 
 @_command("seq search", "exhaustive nontrivial sequence search",

@@ -111,24 +111,6 @@ def _as_ratfunc(f) -> RatFunc:
     return RatFunc(f)
 
 
-# Largest min(deg) * max(deg) * bits of a quotient whose canonicalizing
-# gcd `quotient` runs (resource guard).  On random dense integer inputs
-# (2-vCPU VM, CPython 3.11) that gcd took at most 0.32 s from 9*10**4 to
-# 1.5*10**5 over 50 shapes up to degree 200 and 4000 bits, 0.4-0.9 s at
-# 2-3*10**5 and 6-7 s at 10**6.
-QUOTIENT_GCD_BUDGET = 150_000
-
-
-def quotient(num: UPoly, den: UPoly) -> RatFunc:
-    """num/den, refused by a resource guard before its canonicalizing gcd,
-    run on first read, when min(deg)*max(deg)*bits > QUOTIENT_GCD_BUDGET."""
-    bits = max((max(abs(c.numerator).bit_length(), c.denominator.bit_length())
-                for h in (num, den) for c in h.coeffs), default=0)
-    cost = min(num.degree, den.degree) * max(num.degree, den.degree) * bits
-    guard("QUOTIENT_GCD_BUDGET", cost, QUOTIENT_GCD_BUDGET, "quotient gcd size")
-    return RatFunc(num, den)
-
-
 def _minus(f: RatFunc, a: Fraction) -> UPoly:
     """The numerator of f - a over the denominator f.den: f is canonical,
     so num - a*den stays coprime to den."""
@@ -215,12 +197,12 @@ def prox_m(f, target, p: int, rho) -> Fraction:
 RADII_BUDGET = 8_000_000
 
 
-def _radii(weight: int, rhos, f: RatFunc) -> list[Fraction]:
+def _radii(weight: int, rhos, *parts: UPoly) -> list[Fraction]:
     """rhos as Fractions, refused before any is converted beyond
-    RADII_BUDGET for a check that reads weight polynomials of f's degree
-    besides its denominator at each radius."""
+    RADII_BUDGET for a check that reads weight polynomials of the degree
+    of the parts of f it reads besides the denominator at each radius."""
     rhos = list(rhos)
-    degree = max(f.num.degree, f.den.degree)
+    degree = max(h.degree for h in parts)
     guard("RADII_BUDGET", (len(rhos) + 20) * (weight * (degree + 40) + 240), RADII_BUDGET,
           "(radii + 20) * (weight * (degree + 40) + 240)")
     return [as_fraction(r) for r in rhos]
@@ -235,15 +217,17 @@ class PjfReport(Record):
 
 def check_pjf(f, p: int, rhos) -> PjfReport:
     """The constant log|f| - N(f,0) + N(f,inf), checked to be the same at
-    every given radius (at least two).  Raises ArithmeticError naming the
-    offending radius if the values ever disagreed."""
+    every given radius (at least two); raises ArithmeticError naming the
+    offending radius if the values ever disagreed.  f is read as stored,
+    with no gcd: the norm is multiplicative, N adds over products and no
+    constant factor moves it, so every num/den of f gives one constant."""
     f = _as_ratfunc(f)
     if f.is_zero:
         raise ValueError("zero function")
-    grid = tuple(_radii(1, rhos, f))
+    grid = tuple(_radii(1, rhos, *f.as_quotient()))
     if len(grid) < 2:
         raise ValueError("need at least 2 radii")
-    num, den = _padic(f.num, p), _padic(f.den, p)
+    num, den = (_padic(h, p) for h in f.as_quotient())
     constants = [num.log_norm(r) - den.log_norm(r) - num.height(r) + den.height(r)
                  for r in grid]
     for r, c in zip(grid, constants):
@@ -319,7 +303,7 @@ def check_fmt(f, a, p: int, rhos) -> FmtReport:
     if f.is_constant:
         raise ValueError("f must be nonconstant")
     a = as_fraction(a)
-    grid = tuple(sorted(_radii(2, rhos, f)))
+    grid = tuple(sorted(_radii(2, rhos, f.num, f.den)))
     if not grid:
         raise ValueError("empty radius grid")
     num, den, fa = (_padic(h, p) for h in (f.num, f.den, _minus(f, a)))
@@ -352,7 +336,7 @@ def check_smt(f, targets, p: int, rhos) -> SmtReport:
     f = _as_ratfunc(f)
     if f.is_constant:
         raise ValueError("f must be nonconstant")
-    grid = tuple(sorted(_radii(len(targets), rhos, f)))  # before any target is converted
+    grid = tuple(sorted(_radii(len(targets), rhos, f.num, f.den)))  # before converting a target
     ts = tuple(as_fraction(a) for a in targets)
     if len(set(ts)) != len(ts):
         raise ValueError("targets must be distinct")
@@ -403,10 +387,11 @@ def delta_identity(f, u, a) -> bool:
 
 def difference_identity(f, a_i, a_j, h_i_sq, h_j_sq) -> bool:
     """Checks h_i**2 - h_j**2 = (a_i - a_j)*(2f + a_i + a_j), the linear
-    relation forced when both squares equal (a + f)**2 - g for a common g."""
-    f = _as_ratfunc(f)
-    ai = as_fraction(a_i)
-    aj = as_fraction(a_j)
-    lhs = _as_ratfunc(h_i_sq) - _as_ratfunc(h_j_sq)
-    rhs = (ai - aj) * (2 * f + ai + aj)
-    return lhs == rhs
+    relation forced when both squares equal (a + f)**2 - g for a common g,
+    cross-multiplied over the stored parts N/D of each, with no gcd:
+    (N_i*D_j - N_j*D_i)*D_f == (a_i - a_j)*(2*N_f + (a_i + a_j)*D_f)*D_i*D_j."""
+    nf, df = _as_ratfunc(f).as_quotient()
+    ai, aj = as_fraction(a_i), as_fraction(a_j)
+    ni, di = _as_ratfunc(h_i_sq).as_quotient()
+    nj, dj = _as_ratfunc(h_j_sq).as_quotient()
+    return (ni * dj - nj * di) * df == (ai - aj) * (2 * nf + (ai + aj) * df) * di * dj

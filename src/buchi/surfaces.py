@@ -24,7 +24,7 @@ from .exact import as_fraction, is_square_int, is_square_rat, vanishes_on_grid
 # Largest scans accepted (resource guards), from in-process times on a
 # 2-vCPU VM (CPython 3.11): the integer-node scan at height 5000 takes up
 # to about 1.1 s, and a grid of 3.8*10**6 pairs (rational height 40)
-# about 1.4 s.  A pair counts 1 + S // 8 times, S the most bits of a node's
+# 0.66 s.  A pair counts 1 + S // 8 times, S the most bits of a node's
 # numerator and denominator: at S = 3300 a pair costs 205, height 40 444 s.
 SCAN_HEIGHT_BUDGET = 5_000
 SCAN_GRID_BUDGET = 4_000_000

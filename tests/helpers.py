@@ -56,6 +56,30 @@ def product_delta_identity(f, u, a) -> bool:
     return gp ** 2 - 4 * fp ** 2 * g == 4 * u * (u * fp ** 2 - up ** 2 * u - up * gp)
 
 
+def ratfunc_difference_identity(f, a_i, a_j, h_i_sq, h_j_sq) -> bool:
+    """h_i**2 - h_j**2 == (a_i - a_j)*(2f + a_i + a_j) for RatFuncs f,
+    h_i**2 and h_j**2, by RatFunc arithmetic: the differential oracle of
+    nevanlinna.difference_identity's cross-multiplied stored parts."""
+    ai, aj = Fraction(a_i), Fraction(a_j)
+    return h_i_sq - h_j_sq == (ai - aj) * (2 * f + ai + aj)
+
+
+# RatFunc's arithmetic, which no path of the package runs.
+RATFUNC_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                      "__rmul__", "__truediv__", "__rtruediv__", "__pow__")
+
+
+def forbid_ratfunc_arithmetic(monkeypatch) -> None:
+    """From now on each method of RATFUNC_ARITHMETIC raises AssertionError."""
+    def forbidden(name):
+        def method(*args):
+            raise AssertionError(f"RatFunc.{name} called")
+        return method
+
+    for name in RATFUNC_ARITHMETIC:
+        monkeypatch.setattr(RatFunc, name, forbidden(name))
+
+
 def count_gcd_calls(monkeypatch) -> list:
     """A list that records every UPoly.gcd call from now on."""
     calls = []

@@ -15,12 +15,14 @@ import pytest
 
 from buchi import cli
 from buchi.cli import MAX_ARG_DIGITS, _int, build_parser, main
-from buchi.nevanlinna import QUOTIENT_GCD_BUDGET, RADII_BUDGET
+from buchi.nevanlinna import RADII_BUDGET
 from buchi.reduction.compiler import CHECK_WORK_BUDGET, GADGET_BUDGET
 from buchi.reduction.formulas import MAX_M
 from buchi.reduction.parser import (MAX_CONSTANT_BITS, MAX_DEPTH, MAX_EXPONENT,
                                     MAX_POLY_DEGREE, MAX_TOKENS)
-from helpers import DEEP_SHAPES, FLAT_LENGTH, dense_poly, mixed_nesting
+from buchi.symbolic import QUOTIENT_GCD_BUDGET
+from helpers import (DEEP_SHAPES, FLAT_LENGTH, dense_poly, forbid_ratfunc_arithmetic,
+                     mixed_nesting)
 
 
 def run(capsys, *argv):
@@ -247,41 +249,42 @@ class TestPadic:
         assert code == 0 and out.strip() == "200"
 
     def test_quotient_gcd_guard(self, capsys):
+        # pjf reads f as stored and runs no gcd, so it answers; the checks
+        # that read f's canonical form refuse it before the gcd (60 s)
+        polys = ("--p", "3", "--num", "(z+1)^200+z", "--den", "(2*z+5)^200+1")
         t0 = time.monotonic()
-        code, out, err = run(capsys, "padic", "pjf", "--p", "3", "--num", "(z+1)^200+z",
-                             "--den", "(2*z+5)^200+1", "--rhos", "0,1")
-        assert code == 1 and out == "" and "(resource guard)" in err
+        assert run(capsys, "padic", "pjf", *polys, "--rhos", "0,1") == (0, "C = 0\n", "")
         assert time.monotonic() - t0 < 1
+        for extra in (("fmt", "--a", "1", "--rhos", "0,1"),
+                      ("smt", "--targets", "1", "--rhos", "0,1"),
+                      ("ldl", "--rho", "1")):
+            t0 = time.monotonic()
+            code, out, err = run(capsys, "padic", extra[0], *polys, *extra[1:])
+            assert code == 1 and out == ""
+            assert f"> QUOTIENT_GCD_BUDGET = {QUOTIENT_GCD_BUDGET} refused (resource guard)" in err
+            assert time.monotonic() - t0 < 1
 
     @pytest.mark.parametrize("f_num, f_den, u_num, u_den", [
         ("(z+1)^40", "(z-2)^40", "(z+3)^40", "(2*z+5)^40"),
         ("(z+1)^200", "", "(z+3)^200", "")])
     def test_delta_guard(self, capsys, f_num, f_den, u_num, u_den):
         # the identity is one grid certificate, whatever the size of f and
-        # u; what still refuses is QUOTIENT_GCD_BUDGET, on parsing a
-        # quotient whose canonical form would be costly
+        # u, and reads no canonical form, so no guard refuses them
         t0 = time.monotonic()
         code, out, err = run(capsys, "padic", "delta", f"--f-num={f_num}", f"--f-den={f_den}",
                              f"--u-num={u_num}", f"--u-den={u_den}", "--a", "1")
-        if f_den:
-            assert code == 1 and out == ""
-            assert f"> QUOTIENT_GCD_BUDGET = {QUOTIENT_GCD_BUDGET} refused (resource guard)" in err
-        else:
-            assert (code, out, err) == (0, "delta identity: true\n", "")
+        assert (code, out, err) == (0, "delta identity: true\n", "")
         assert time.monotonic() - t0 < 1
 
     @pytest.mark.parametrize("d", [8, 20, 37, 38])
     def test_delta_binomial_family(self, capsys, d):
-        # (z+3)^d/(2*z+5)^d passes QUOTIENT_GCD_BUDGET up to d = 37
+        # (z+3)^d/(2*z+5)^d is past QUOTIENT_GCD_BUDGET from d = 38, but
+        # delta runs no gcd
         t0 = time.monotonic()
         code, out, err = run(capsys, "padic", "delta", f"--f-num=(z+1)^{d}",
                              f"--f-den=(z-2)^{d}", f"--u-num=(z+3)^{d}",
                              f"--u-den=(2*z+5)^{d}", "--a", "1")
-        if d <= 37:
-            assert code == 0 and out == "delta identity: true\n"
-        else:
-            assert code == 1 and out == ""
-            assert f"> QUOTIENT_GCD_BUDGET = {QUOTIENT_GCD_BUDGET} refused (resource guard)" in err
+        assert (code, out, err) == (0, "delta identity: true\n", "")
         assert time.monotonic() - t0 < 1
 
     def test_fmt(self, capsys):
@@ -829,6 +832,18 @@ class TestBenchmarkRounds:
             assert code == 0, (case.argv, err)
             digest.update(out.encode("utf-8"))
         assert digest.hexdigest() == self.ROUNDS[workload, seed]
+
+    @pytest.mark.parametrize("seed", [501, 601, 777])
+    def test_exact_algebra_runs_no_ratfunc_arithmetic(self, capsys, monkeypatch, tmp_path,
+                                                      seed):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+        cases = workloads.build("exact-algebra", seed, str(tmp_path))
+        assert len(cases) == 24
+        forbid_ratfunc_arithmetic(monkeypatch)
+        for case in cases:
+            code, out, err = run(capsys, *case.argv)
+            assert code == 0, (case.argv, err)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from buchi import nevanlinna
 from buchi.exact import INFINITY, valuation, vanishes_on_grid
 from buchi.nevanlinna import (INF, LDL_BUDGET, RADII_BUDGET, NewtonSegment,
                               check_fmt, check_ldl, check_pjf, check_smt, count_zeros,
@@ -10,8 +11,9 @@ from buchi.nevanlinna import (INF, LDL_BUDGET, RADII_BUDGET, NewtonSegment,
                               gauss_log_norm, height_N, newton_polygon, prox_m)
 from buchi.nevanlinna import _delta_residual, _padic
 from buchi.symbolic import RatFunc, UPoly
-from helpers import (count_gcd_calls, fraction_height, product_delta_identity, rand_fraction,
-                     rand_ratfunc, rand_upoly)
+from helpers import (count_gcd_calls, forbid_ratfunc_arithmetic, fraction_height,
+                     product_delta_identity, rand_fraction, rand_ratfunc, rand_upoly,
+                     ratfunc_difference_identity)
 
 Z = RatFunc.x()
 
@@ -248,6 +250,34 @@ class TestPjf:
     def test_needs_two_radii(self):
         with pytest.raises(ValueError):
             check_pjf(Z, 2, (0,))
+
+    @staticmethod
+    def shared_factor_cases(seed, count):
+        """count seeded (f, p, grid): f = g*n/(g*d) as stored, g of degree
+        1 to 3, and 25 radii."""
+        rng = random.Random(seed)
+        for _ in range(count):
+            common = rand_upoly(rng, 3, nonzero=True)
+            while common.degree < 1:
+                common = rand_upoly(rng, 3, nonzero=True)
+            f = RatFunc(common * rand_upoly(rng, 4, nonzero=True),
+                        common * rand_upoly(rng, 4, nonzero=True))
+            grid = sorted({rand_fraction(rng, 9, 4) for _ in range(40)})[:25]
+            yield f, rng.choice((2, 3, 5, 7)), grid
+
+    def test_runs_no_gcd(self, monkeypatch):
+        calls = count_gcd_calls(monkeypatch)
+        for f, p, grid in self.shared_factor_cases(73, 50):
+            check_pjf(f, p, grid)
+        assert calls == []
+
+    def test_stored_parts_give_the_canonical_constant(self):
+        # the constant is the same for every num/den of f: the canonical
+        # route builds f again from its coprime parts
+        for f, p, grid in self.shared_factor_cases(79, 300):
+            num, den = f.as_quotient()
+            assert num.gcd(den).degree >= 1
+            assert check_pjf(f, p, grid) == check_pjf(RatFunc(f.num, f.den), p, grid)
 
 
 class TestLdl:
@@ -597,11 +627,67 @@ class TestDifferenceIdentity:
             hi = (ai + f) ** 2 - g
             hj = (aj + f) ** 2 - g
             assert difference_identity(f, ai, aj, hi, hj)
+            assert ratfunc_difference_identity(f, ai, aj, hi, hj)
             # any nonzero change to one square breaks the relation
             eps = rand_ratfunc(rng, 2, nonzero=True)
             assert not difference_identity(f, ai, aj, hi + eps, hj)
+            assert not ratfunc_difference_identity(f, ai, aj, hi + eps, hj)
             if not hj.is_zero:
                 assert not difference_identity(f, ai, aj, hi, hj * (1 + Z))
+                assert not ratfunc_difference_identity(f, ai, aj, hi, hj * (1 + Z))
+
+    def test_coerces_polynomials_and_constants(self):
+        # f = z and g = z^3, the first square given as a UPoly; and
+        # constants
+        hi = UPoly((1, 2, 1, -1))
+        assert difference_identity(UPoly.x(), 1, 2, hi, (2 + Z) ** 2 - Z ** 3)
+        assert difference_identity(3, 1, 1, 5, 5)
+        assert not difference_identity(3, 1, 0, 5, 5)
+        with pytest.raises(TypeError):
+            difference_identity(Z, 1, 2, 1.5, Z)
+
+
+class TestNoRatFuncArithmetic:
+    # no public function of nevanlinna adds, subtracts, negates,
+    # multiplies, divides or raises a RatFunc: each reads stored parts,
+    # canonical parts or derivatives, and works in UPolys
+    def test_public_functions(self, monkeypatch):
+        rng = random.Random(83)
+        cases = []
+        for _ in range(40):
+            f = rand_ratfunc(rng, 4, nonzero=True)
+            if f.is_constant:
+                continue
+            h, g = rand_upoly(rng, 5, nonzero=True), rand_ratfunc(rng, 3)
+            p, rho = rng.choice((2, 3, 5, 7)), rand_fraction(rng, 6, 3)
+            ai, aj = rand_fraction(rng, 6, 3), rand_fraction(rng, 6, 3)
+            targets = sorted({rand_fraction(rng, 5, 2) for _ in range(3)})
+            grid = sorted({rand_fraction(rng, 6, 3) for _ in range(6)} | {0, 1})
+            cases.append((f, h, p, rho, targets, grid, ai, aj,
+                          (ai + f) ** 2 - g, (aj + f) ** 2 - g))
+        calls = {
+            "gauss_log_norm": lambda c: (gauss_log_norm(c[0], c[2], c[3]),
+                                         gauss_log_norm(c[1], c[2], c[3])),
+            "newton_polygon": lambda c: newton_polygon(c[1], c[2]),
+            "count_zeros": lambda c: count_zeros(c[1], c[2], c[3]),
+            "height_N": lambda c: [height_N(c[0], t, c[2], c[3]) for t in (0, INF)],
+            "prox_m": lambda c: [prox_m(c[0], t, c[2], c[3]) for t in (c[6], INF)],
+            "check_pjf": lambda c: check_pjf(c[0], c[2], c[5]),
+            "check_ldl": lambda c: check_ldl(c[0], 2, c[2], c[3]),
+            "check_fmt": lambda c: check_fmt(c[0], c[6], c[2], c[5]),
+            "check_smt": lambda c: check_smt(c[0], c[4], c[2], c[5]),
+            "delta_identity": lambda c: delta_identity(c[0], c[8], c[6]),
+            "difference_identity": lambda c: difference_identity(c[0], c[6], c[7], c[8], c[9]),
+        }
+        public = {name for name, value in vars(nevanlinna).items() if not name.startswith("_")
+                  and callable(value) and getattr(value, "__module__", "") == nevanlinna.__name__
+                  and not isinstance(value, type)}
+        assert public == set(calls)
+        forbid_ratfunc_arithmetic(monkeypatch)
+        for case in cases:
+            for call in calls.values():
+                call(case)
+            assert difference_identity(case[0], *case[6:])
 
 
 class TestContexts:

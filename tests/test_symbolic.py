@@ -1,11 +1,13 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from buchi.symbolic import MPoly, RatFunc, UPoly
+from buchi import symbolic
+from buchi.symbolic import QUOTIENT_GCD_BUDGET, MPoly, RatFunc, UPoly
 from helpers import count_gcd_calls, rand_fraction, rand_ratfunc, rand_upoly
 
 coeff_lists = st.lists(st.integers(-9, 9), max_size=4)
@@ -237,10 +239,14 @@ def oracle_step(op, x, y, n):
 
 
 class TestLazyCanonicalForm:
-    def test_chains_match_canonical_every_step(self):
+    def test_chains_match_canonical_every_step(self, monkeypatch):
         """Seeded chains of + - * / ** and derivative: reading num, den,
         repr and hash only at the end, or at random points between steps,
         gives what canonicalizing after every step gives."""
+        # the chains at the larger size reach gcds past the resource guard
+        # on the canonical form, whose refusals TestQuotientGcdGuard checks;
+        # here only the canonical form's value is under test
+        monkeypatch.setattr(symbolic, "QUOTIENT_GCD_BUDGET", 10 ** 12)
         rng = random.Random(89)
         for max_num, max_den in SIZES:
             for _ in range(100):
@@ -300,6 +306,50 @@ class TestLazyCanonicalForm:
             assert repr(f) == "RatFunc(UPoly(1 + z))"
         assert len(set(routes)) == 1
 
+
+
+class TestQuotientGcdGuard:
+    # (z+1)^200+z over (2*z+5)^200+1: cost 200 * 200 * 558 bits, whose gcd
+    # takes about a minute
+    NUM = UPoly((1, 1)) ** 200 + UPoly.x()
+    DEN = UPoly((5, 2)) ** 200 + 1
+    REFUSED = f"> QUOTIENT_GCD_BUDGET = {QUOTIENT_GCD_BUDGET} refused (resource guard)"
+
+    def test_stored_reads_never_refuse(self, monkeypatch):
+        calls = count_gcd_calls(monkeypatch)
+        f = RatFunc(self.NUM, self.DEN)
+        assert f.as_quotient() == (self.NUM, self.DEN) and not f.is_zero
+        assert f == RatFunc(self.NUM * 3, self.DEN * 3) and f != RatFunc(self.NUM, self.NUM)
+        assert f.derivative().as_quotient()[1] == self.DEN ** 2
+        assert calls == []
+
+    def test_canonical_reads_refuse_before_the_gcd(self, monkeypatch):
+        calls = count_gcd_calls(monkeypatch)
+        f = RatFunc(self.NUM, self.DEN)
+        for read in (lambda: f.num, lambda: f.den, lambda: hash(f), lambda: repr(f),
+                     lambda: f.is_constant):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"quotient gcd size {200 * 200 * 558} {self.REFUSED}")):
+                read()
+        assert calls == []
+
+    def test_cost_is_on_the_stored_parts(self):
+        # min(deg) * max(deg) * the most bits of any coefficient's
+        # numerator or denominator: z^1000 + 2^149 over z + 1 is at the
+        # budget, and one more bit, or a common factor, is past it
+        at_edge = RatFunc(UPoly.monomial(1000) + 2 ** 149, UPoly((1, 1)))
+        assert at_edge.num == UPoly.monomial(1000) + 2 ** 149
+        assert 1 * 1000 * 150 == QUOTIENT_GCD_BUDGET
+        past = RatFunc(UPoly.monomial(1000) + 2 ** 150, UPoly((1, 1)))
+        with pytest.raises(ValueError, match=re.escape(f"size 151000 {self.REFUSED}")):
+            past.den
+        halves = RatFunc(UPoly.monomial(1000, Fraction(1, 2 ** 149)) + 1, UPoly((1, 1)))
+        assert halves.den == UPoly((1, 1))
+        common = UPoly((1, 1))
+        shared = RatFunc(at_edge.num * common, UPoly((1, 1)) * common)
+        with pytest.raises(ValueError, match=re.escape(f"size {2 * 1001 * 150} {self.REFUSED}")):
+            shared.num
+        assert shared == at_edge
 
 class TestUPoly:
     def test_trailing_zeros_trimmed(self):
@@ -375,11 +425,14 @@ class TestRatFunc:
 
     def test_derivative_matches_quotient_rule_oracle(self):
         def oracle(f, n):
-            # the quotient rule applied n times, canonical at every step
+            # the quotient rule applied n times, reduced by the gcd at every
+            # step (past the size at which RatFunc's canonical form refuses)
+            num, den = f.as_quotient()
             for _ in range(n):
-                f = RatFunc(f.num.derivative() * f.den - f.num * f.den.derivative(),
-                            f.den * f.den)
-            return f
+                num, den = num.derivative() * den - num * den.derivative(), den * den
+                g = num.gcd(den)
+                num, den = num // g, den // g
+            return RatFunc(num, den)
 
         rng = random.Random(41)
         for _ in range(80):
