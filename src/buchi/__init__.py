@@ -25,8 +25,7 @@ class Record:
     """Base of the package's records.  A subclass names its fields, in order,
     in __slots__, and is built from them by position or keyword.  Records
     of one class compare equal when their fields do, hash as the tuple of
-    their fields, and refuse assignment with AttributeError, unless the
-    class sets __setattr__ = object.__setattr__."""
+    their fields, and refuse assignment with AttributeError."""
 
     __slots__ = ()
 

@@ -403,11 +403,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args.func(args)
-    except (ValueError, ArithmeticError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"buchi: error: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

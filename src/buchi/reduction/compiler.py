@@ -89,9 +89,7 @@ class SquareEq(Record):
 
 
 class TargetSystem(Record):
-    __slots__ = ("source_vars", "variables", "linear", "squares", "buchi_m", "meta",
-                 "trace", "counters")
-    __setattr__ = object.__setattr__
+    __slots__ = ("source_vars", "variables", "linear", "squares", "buchi_m", "meta", "trace")
 
     def extend(self, assignment: dict[str, int]) -> dict[str, int]:
         """Forced values of every variable given the source variables: the
@@ -188,9 +186,6 @@ def compile_system(system: SourceSystem, m: int = 5) -> TargetSystem:
         linear.extend(block.linear)
         squares.extend(block.squares)
         trace.extend(block.trace)
-    counters = dict(inter.counters)
-    counters["gadgets"] = len(inter.squarings)
-    counters["gadget_vars"] = 2 * m * len(inter.squarings)
     meta = {
         "M": m,
         "conditional": f"BP(Z,{m})",
@@ -205,8 +200,7 @@ def compile_system(system: SourceSystem, m: int = 5) -> TargetSystem:
                         squares=tuple(squares),
                         buchi_m=m,
                         meta=meta,
-                        trace=tuple(trace),
-                        counters=counters)
+                        trace=tuple(trace))
 
 
 def validate_target(target: TargetSystem) -> None:
@@ -277,7 +271,6 @@ class EquisatReport(Record):
 
     __slots__ = ("box", "assignments", "source_solutions", "lifted", "agreements",
                  "solutions", "derived_w_bound", "nontrivial_gadget_sequences")
-    __setattr__ = object.__setattr__
 
     @property
     def passed(self) -> bool:

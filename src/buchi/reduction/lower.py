@@ -176,11 +176,10 @@ class LinearEq(Record):
     """sum(coeffs[v] * v) + const = 0 over integer variables."""
 
     __slots__ = ("coeffs", "const")
-    __setattr__ = object.__setattr__
 
     def __init__(self, coeffs: dict[str, int], const: int):
-        self.coeffs = coeffs
-        self.const = const
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "const", const)
 
     def residual(self, env: dict[str, Sequence[int]], rows: int) -> list[int]:
         """The residual at each of env's `rows` rows."""
@@ -200,8 +199,7 @@ class IntermediateSystem(Record):
     """Only linear equations plus squaring constraints; the trace records
     how every introduced variable is forced by the source variables."""
 
-    __slots__ = ("source_vars", "variables", "linear", "squarings", "trace", "counters")
-    __setattr__ = object.__setattr__
+    __slots__ = ("variables", "linear", "squarings", "trace")
 
 
 def eliminate_mul(prog: TACProgram) -> IntermediateSystem:
@@ -215,8 +213,6 @@ def eliminate_mul(prog: TACProgram) -> IntermediateSystem:
     squarings: list[Squaring] = []
     trace: list[tuple] = []
     square_memo: dict[str, str] = {}
-    counts = {"muls_distinct": 0, "muls_square": 0, "sums": 0,
-              "squarings": 0, "tac_temps": counter}
 
     def fresh() -> str:
         nonlocal counter
@@ -231,7 +227,6 @@ def eliminate_mul(prog: TACProgram) -> IntermediateSystem:
             squarings.append(Squaring(q, x))
             trace.append(("square", q, x))
             square_memo[x] = q
-            counts["squarings"] += 1
         return square_memo[x]
 
     for step in prog.instrs:
@@ -249,20 +244,15 @@ def eliminate_mul(prog: TACProgram) -> IntermediateSystem:
             if a == b:
                 q = square_of(a)
                 linear.append(LinearEq({d: 1, q: -1}, 0))
-                counts["muls_square"] += 1
             else:
                 s = fresh()
                 trace.append(("add", s, a, b))
                 linear.append(LinearEq({s: 1, a: -1, b: -1}, 0))
-                counts["sums"] += 1
                 qs = square_of(s)
                 qa = square_of(a)
                 qb = square_of(b)
                 linear.append(LinearEq({qs: 1, qa: -1, qb: -1, d: -2}, 0))
-                counts["muls_distinct"] += 1
-    return IntermediateSystem(source_vars=prog.source_vars,
-                              variables=tuple(variables),
+    return IntermediateSystem(variables=tuple(variables),
                               linear=linear,
                               squarings=squarings,
-                              trace=tuple(trace),
-                              counters=counts)
+                              trace=tuple(trace))

@@ -98,13 +98,6 @@ class BuchiSequence(Record):
         object.__setattr__(seq, "values", values)
         return seq
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def squares(self) -> tuple[int, ...]:
-        return tuple(v * v for v in self.values)
-
     @classmethod
     def trivial(cls, nu: int, length: int) -> "BuchiSequence":
         """The consecutive-squares sequence x_i = |nu + i|."""

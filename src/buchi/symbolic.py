@@ -298,7 +298,8 @@ QUOTIENT_GCD_BUDGET = 150_000
 class RatFunc:
     """Rational function over Q.  Arithmetic, derivative and == multiply
     the stored parts and run no gcd; the canonical form (coprime, den
-    monic) is reduced once, when num, den, the hash or the repr reads it."""
+    monic) is reduced once, when num, den, the hash or the repr reads it.
+    The repr shows the stored parts where the guard refuses the gcd."""
 
     __slots__ = ("_num", "_den", "_canonical")
 
@@ -372,9 +373,13 @@ class RatFunc:
         return hash(self._parts())
 
     def __repr__(self) -> str:
-        if self.den == UPoly.constant(1):
-            return f"RatFunc({self.num!r})"
-        return f"RatFunc({self.num!r} / {self.den!r})"
+        try:
+            num, den = self._parts()
+        except ValueError:  # refused by QUOTIENT_GCD_BUDGET: the stored parts
+            num, den = self._num, self._den
+        if den == UPoly.constant(1):
+            return f"RatFunc({num!r})"
+        return f"RatFunc({num!r} / {den!r})"
 
     @staticmethod
     def _coerce(other) -> "RatFunc | None":

@@ -6,6 +6,7 @@ from math import isqrt
 
 from buchi import guard
 from buchi.reduction.compiler import CHECK_WORK_BUDGET, W_BOUND_BUDGET, EquisatReport
+from buchi.reduction.lower import eliminate_mul, lower_tac
 from buchi.reduction.parser import (_SYMBOLS, MAX_CONSTANT_BITS, MAX_TOKENS, Num, ParseError,
                                     Pow, Product, Sum, Token, Var, bounded_pow)
 from buchi.sequences import BuchiSequence, _smallest_prime_factors, closed_form, search
@@ -289,6 +290,22 @@ def scalar_evaluate(expr, env: dict[str, int]) -> int:
 def scalar_residual(eq, env: dict[str, int]) -> int:
     """LinearEq.residual at one assignment."""
     return sum(c * env[v] for v, c in eq.coeffs.items()) + eq.const
+
+
+def compile_counts(system, m: int) -> dict[str, int]:
+    """compile_system's work on system at gadget length m, read off the
+    three-address program and its squarings: each instruction is a
+    temporary, a product of equal operands is one squaring, a product of
+    distinct ones adds a sum s and squares s, a and b, and each squaring
+    becomes one gadget of M u's and M w's."""
+    prog = lower_tac(system)
+    instrs, squarings = prog.instrs, eliminate_mul(prog).squarings
+    muls = [step for step in instrs if step[0] == "mul"]
+    distinct = sum(a != b for _, _, a, b in muls)
+    return {"tac_temps": len(instrs), "muls_distinct": distinct,
+            "muls_square": len(muls) - distinct, "sums": distinct,
+            "squarings": len(squarings), "gadgets": len(squarings),
+            "gadget_vars": 2 * m * len(squarings)}
 
 
 def scalar_satisfied(target, env: dict[str, int]) -> bool:

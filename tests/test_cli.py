@@ -213,6 +213,13 @@ class TestPadic:
                            "--num", "5*z^2", "--rhos", "0,1,2", "--json")
         assert payload["constant"] == "-1"
 
+    def test_zero_denominator_refused(self, capsys):
+        # RatFunc's ZeroDivisionError is an ArithmeticError, which main reports
+        for den in ("0", "z-z"):
+            code, out, err = run(capsys, "padic", "pjf", "--p", "3", "--num", "z",
+                                 "--den", den, "--rhos", "0,1")
+            assert (code, out, err) == (1, "", "buchi: error: zero denominator\n")
+
     def test_ldl(self, capsys):
         payload = run_json(capsys, "padic", "ldl", "--p", "3", "--num", "z^2",
                            "--n", "1", "--rho", "1", "--json")
@@ -820,6 +827,8 @@ class TestBenchmarkRounds:
         ("exact-algebra", 601): "39230451167ff983a3a979436d9daee3680201389cf9ac854e6898bc952d0508",
         ("exact-algebra", 777): "53882320bd88b6145a9ca51ec20323b0a8b83982f2ef4e6eba4ce26d98bc93b6",
         ("square-search", 501): "0006e3586fe9c6487dfe955ac7b42f6f6564fc1b0ee5968b0f7f33780c9fb193",
+        ("square-search", 601): "29b1139a137bc007ecb4a8ae22731645ce3ec82aba2a24a573539894137bf8b5",
+        ("square-search", 777): "36b55cb60279f0c64363416a7d838509c1129044972926328cf8c4b52bcd77c2",
     }
 
     @pytest.mark.parametrize("workload, seed", sorted(ROUNDS))

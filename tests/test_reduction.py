@@ -19,7 +19,7 @@ from buchi.reduction.parser import (MAX_CONSTANT_BITS, MAX_DEPTH, MAX_POLY_DEGRE
                                     tokenize)
 from buchi.surfaces import BuchiSurface, surface_equations
 from buchi.symbolic import UPoly
-from helpers import (DEEP_SHAPES, FLAT_LENGTH, dense_poly, mixed_nesting,
+from helpers import (DEEP_SHAPES, FLAT_LENGTH, compile_counts, dense_poly, mixed_nesting,
                      scalar_bounded_equisat, scalar_residual, scalar_run_trace,
                      scalar_tokenize)
 
@@ -411,11 +411,14 @@ class TestEliminateMul:
             assert scalar_residual(eq, env) == 0
 
     def test_square_collapse(self):
-        inter = eliminate_mul(lower_tac(parse("x*x = 4")))
+        system = parse("x*x = 4")
+        inter = eliminate_mul(lower_tac(system))
         assert len(inter.squarings) == 1
         assert inter.squarings[0].t == "x"
-        assert inter.counters["muls_square"] == 1
-        assert inter.counters["sums"] == 0
+        counts = compile_counts(system, 5)
+        assert counts["muls_square"] == 1
+        assert counts["sums"] == 0
+        assert not any(step[0] == "add" for step in inter.trace)
 
     def test_square_sharing_across_products(self):
         # x appears squared through two different products: one square only
@@ -533,12 +536,13 @@ class TestCompile:
             m = rng.choice((3, 5, 8))
             target = compile_system(system, m=m)
             validate_target(target)
-            c = target.counters
+            c = compile_counts(system, m)
             k = len(target.source_vars)
             # each distinct-factor product costs s, s^2 and one gadget
             # (2m+2 variables); every other squared operand costs q plus
             # a gadget (2m+1), charged to the temporaries
             operand_squares = c["squarings"] - c["muls_distinct"]
+            assert 2 * len(target.squares) == c["gadget_vars"]
             assert len(target.variables) == (
                 k + c["tac_temps"]
                 + (2 * m + 2) * c["muls_distinct"]
@@ -789,8 +793,7 @@ class TestScheduledTrace:
             constants = rng.sample(range(-40, 40), rng.randint(1, 6))
             trace = tuple(("shift", f"w{i}", "t", c) for i, c in enumerate(constants))
             target = TargetSystem(source_vars=("t",), variables=("t", *(s[1] for s in trace)),
-                                  linear=(), squares=(), buchi_m=3, meta={}, trace=trace,
-                                  counters={})
+                                  linear=(), squares=(), buchi_m=3, meta={}, trace=trace)
             column = tuple(rng.randint(-100, 60) for _ in range(rng.randint(1, 9)))
             full = run_trace(trace, {"t": column}, len(column))
             widest = max(abs(w) for step in trace for w in full[step[1]])
@@ -845,9 +848,9 @@ class TestValidator:
 
     def test_witness_reuse_detected(self):
         target = compile_system(parse("x*x = 4"), m=5)
-        from buchi.reduction import SquareEq
-        broken = compile_system(parse("x*x = 4"), m=5)
-        broken.squares = broken.squares + (SquareEq("_t0", broken.squares[0].rhs),)
+        fields = {name: getattr(target, name) for name in TargetSystem.__slots__}
+        fields["squares"] += (SquareEq("_t0", target.squares[0].rhs),)
+        broken = TargetSystem(**fields)
         with pytest.raises(ValueError):
             validate_target(broken)
         target.linear[0].coeffs[target.squares[0].rhs] = 1

@@ -326,11 +326,17 @@ class TestQuotientGcdGuard:
     def test_canonical_reads_refuse_before_the_gcd(self, monkeypatch):
         calls = count_gcd_calls(monkeypatch)
         f = RatFunc(self.NUM, self.DEN)
-        for read in (lambda: f.num, lambda: f.den, lambda: hash(f), lambda: repr(f),
-                     lambda: f.is_constant):
+        for read in (lambda: f.num, lambda: f.den, lambda: hash(f), lambda: f.is_constant):
             with pytest.raises(ValueError, match=re.escape(
                     f"quotient gcd size {200 * 200 * 558} {self.REFUSED}")):
                 read()
+        assert calls == []
+
+    def test_repr_shows_the_stored_parts(self, monkeypatch):
+        # a traceback or assertion message that formats f still shows it
+        calls = count_gcd_calls(monkeypatch)
+        f = RatFunc(self.NUM, self.DEN)
+        assert repr(f) == f"RatFunc({self.NUM!r} / {self.DEN!r})"
         assert calls == []
 
     def test_cost_is_on_the_stored_parts(self):
