@@ -143,12 +143,17 @@ def is_square_rat(q) -> Fraction | None:
 
 
 def _int_valuation(n: int, p: int) -> int:
-    # n != 0, p >= 2 assumed
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        v += 1
-        n //= p
+    # n != 0, p >= 2 assumed.  Squares p while p**(2**k) divides n, then
+    # reads v's binary digits from the top: O(log v) divisions, not v.
+    if n % p:
+        return 0
+    powers, v = [p], 0
+    while n % (square := powers[-1] * powers[-1]) == 0:
+        powers.append(square)
+    for k in range(len(powers) - 1, -1, -1):
+        q, r = divmod(n, powers[k])
+        if r == 0:
+            n, v = q, v + (1 << k)
     return v
 
 

@@ -111,10 +111,9 @@ def _as_ratfunc(f) -> RatFunc:
     return RatFunc(f)
 
 
-def _minus(f: RatFunc, a: Fraction) -> UPoly:
-    """The numerator of f - a over the denominator f.den: f is canonical,
-    so num - a*den stays coprime to den."""
-    h = f.num - f.den * a
+def _minus(num: UPoly, den: UPoly, a: Fraction) -> UPoly:
+    """num - a*den: f - a over den for f = num/den, coprime to den when num is."""
+    h = num - den * a
     if h.is_zero:
         raise ValueError("f equals the target identically")
     return h
@@ -166,24 +165,25 @@ def height_N(f, target, p: int, rho) -> Fraction:
     f = _as_ratfunc(f)
     if f.is_zero:
         raise ValueError("height of the zero function")
-    h = f.den if target is INF else _minus(f, as_fraction(target))
+    h = f.den if target is INF else _minus(f.num, f.den, as_fraction(target))
     return _padic(h, p).height(as_fraction(rho))
 
 
 def prox_m(f, target, p: int, rho) -> Fraction:
     """Proximity function: log+ of 1/|f - a| at the radius, or log+ |f|
-    for the target INF."""
+    for the target INF, from f's stored parts: a common factor cancels."""
     f = _as_ratfunc(f)
     r = as_fraction(rho)
     if target is INF:
         return _log_plus(gauss_log_norm(f, p, r))
-    h = _minus(f, as_fraction(target))
-    return _log_plus(_padic(f.den, p).log_norm(r) - _padic(h, p).log_norm(r))
+    num, den = f.as_quotient()
+    h = _minus(num, den, as_fraction(target))
+    return _log_plus(_padic(den, p).log_norm(r) - _padic(h, p).log_norm(r))
 
 
 # Largest (radii + 20) * (weight * (degree + 40) + 240) that check_pjf,
 # check_fmt and check_smt evaluate (resource guard), the degree being the
-# larger of f's numerator and denominator, and the weight the polynomials
+# larger of f's stored num and den, and the weight the polynomials
 # each reads at every radius besides the denominator: the numerator for
 # pjf, the numerator and f - a for fmt, and f - a for each target of smt.
 # A reading costs about degree + 40 steps, each radius about 240 steps of
@@ -239,22 +239,21 @@ def check_pjf(f, p: int, rhos) -> PjfReport:
 # Largest accepted n * max(1, deg den) (resource guard): f^(n) has the
 # denominator den**(n+1), so its products grow with both.  f^(n)/f is
 # never formed: the Gauss norm is multiplicative, so its norm is that of
-# f^(n) less that of f, and neither needs a canonical form.  At this
-# budget, seven shapes with 20-bit coefficients up to degree 42/40 (2-vCPU
-# VM, CPython 3.11) took 0.017 s together after f's own gcd, where
-# reducing f^(n)/f took 5.2 s.
+# f^(n) less that of f.  At this budget, seven shapes with 20-bit
+# coefficients up to degree 42/40 (2-vCPU VM, CPython 3.11) took 0.017 s
+# together, where reducing f^(n)/f took 5.2 s.
 LDL_BUDGET = 40
 
 
 def check_ldl(f, n: int, p: int, rho) -> bool:
     """Exact check of |f^(n)/f| <= p**(-n*rho) at the radius.  True
     vacuously when the n-th derivative vanishes identically.  Refuses
-    n * max(1, deg den) above LDL_BUDGET.  The only gcd it runs is the
-    one that f's canonical form needs."""
+    n * max(1, deg den) above LDL_BUDGET, den being f's stored
+    denominator, which f^(n) raises to the power n + 1.  Runs no gcd."""
     if n < 1:
         raise ValueError("derivative order must be >= 1")
     f = _as_ratfunc(f)
-    cost = n * max(1, f.den.degree)
+    cost = n * max(1, f.as_quotient()[1].degree)
     guard("LDL_BUDGET", cost, LDL_BUDGET, "n * max(1, deg den)")
     if f.is_zero:
         raise ValueError("zero function")
@@ -302,11 +301,11 @@ def check_fmt(f, a, p: int, rhos) -> FmtReport:
     f = _as_ratfunc(f)
     if f.is_constant:
         raise ValueError("f must be nonconstant")
-    a = as_fraction(a)
-    grid = tuple(sorted(_radii(2, rhos, f.num, f.den)))
+    a, parts = as_fraction(a), f.as_quotient()  # a common factor cancels in the defect
+    grid = tuple(sorted(_radii(2, rhos, *parts)))
     if not grid:
         raise ValueError("empty radius grid")
-    num, den, fa = (_padic(h, p) for h in (f.num, f.den, _minus(f, a)))
+    num, den, fa = (_padic(h, p) for h in (*parts, _minus(*parts, a)))
 
     def defect(r: Fraction) -> Fraction:
         # m(f, a) + N(f, a) - m(f, inf) - N(f, inf)
@@ -336,7 +335,7 @@ def check_smt(f, targets, p: int, rhos) -> SmtReport:
     f = _as_ratfunc(f)
     if f.is_constant:
         raise ValueError("f must be nonconstant")
-    grid = tuple(sorted(_radii(len(targets), rhos, f.num, f.den)))  # before converting a target
+    grid = tuple(sorted(_radii(len(targets), rhos, *f.as_quotient())))  # before targets, gcd
     ts = tuple(as_fraction(a) for a in targets)
     if len(set(ts)) != len(ts):
         raise ValueError("targets must be distinct")
@@ -344,8 +343,8 @@ def check_smt(f, targets, p: int, rhos) -> SmtReport:
         raise ValueError("need at least one target")
     if not grid:
         raise ValueError("empty radius grid")
-    den = _padic(f.den, p)
-    fas = [_padic(_minus(f, a), p) for a in ts]
+    den = _padic(f.den, p)  # N(f, inf) needs the coprime denominator
+    fas = [_padic(_minus(f.num, f.den, a), p) for a in ts]
 
     def value(r: Fraction) -> Fraction:
         # sum_i m(f, a_i) - N(f, inf), reading den once per radius

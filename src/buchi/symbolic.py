@@ -361,7 +361,8 @@ class RatFunc:
 
     @property
     def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
+        num, den = self._num, self._den  # num/den = lc(num)/lc(den), with no gcd
+        return num.is_zero or num * den.lead == den * num.lead
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)

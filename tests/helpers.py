@@ -36,6 +36,15 @@ def rand_ratfunc(rng, max_deg=4, max_coeff=6, nonzero=False):
             return f
 
 
+def loop_valuation(n: int, p: int) -> int:
+    """v_p(n) for n != 0 and p >= 2, one division per unit of valuation:
+    the oracle of exact._int_valuation."""
+    v = 0
+    while n % p == 0:
+        v, n = v + 1, n // p
+    return v
+
+
 def fraction_height(padic, rho: Fraction) -> Fraction:
     """N(rho) = ord0*rho + the sum of length*max(0, rho + slope) of a
     nevanlinna._PadicPoly, in Fractions segment by segment: the oracle of

@@ -256,20 +256,37 @@ class TestPadic:
         assert code == 0 and out.strip() == "200"
 
     def test_quotient_gcd_guard(self, capsys):
-        # pjf reads f as stored and runs no gcd, so it answers; the checks
-        # that read f's canonical form refuse it before the gcd (60 s)
+        # pjf and fmt read f as stored and run no gcd, so they answer; ldl
+        # weighs the stored denominator, of degree 200 > LDL_BUDGET; smt's
+        # N(f, inf) reads f's canonical form, refused before the gcd (60 s)
         polys = ("--p", "3", "--num", "(z+1)^200+z", "--den", "(2*z+5)^200+1")
-        t0 = time.monotonic()
-        assert run(capsys, "padic", "pjf", *polys, "--rhos", "0,1") == (0, "C = 0\n", "")
-        assert time.monotonic() - t0 < 1
-        for extra in (("fmt", "--a", "1", "--rhos", "0,1"),
-                      ("smt", "--targets", "1", "--rhos", "0,1"),
-                      ("ldl", "--rho", "1")):
+        for extra, answer in (
+                (("pjf", "--rhos", "0,1"), (0, "C = 0\n", "")),
+                (("fmt", "--a", "1", "--rhos", "0,1"),
+                 (0, "spread 0; defect is 0 for rho > 1/199; passed: True\n", "")),
+                (("ldl", "--rho", "1"), (1, "", "buchi: error: n * max(1, deg den) 200 > "
+                                         "LDL_BUDGET = 40 refused (resource guard)\n")),
+                (("smt", "--targets", "1", "--rhos", "0,1"),
+                 (1, "", f"buchi: error: quotient gcd size 22320000 > QUOTIENT_GCD_BUDGET = "
+                         f"{QUOTIENT_GCD_BUDGET} refused (resource guard)\n"))):
             t0 = time.monotonic()
-            code, out, err = run(capsys, "padic", extra[0], *polys, *extra[1:])
-            assert code == 1 and out == ""
-            assert f"> QUOTIENT_GCD_BUDGET = {QUOTIENT_GCD_BUDGET} refused (resource guard)" in err
+            assert run(capsys, "padic", extra[0], *polys, *extra[1:]) == answer
             assert time.monotonic() - t0 < 1
+
+    @pytest.mark.parametrize("command, out", [
+        ("ldl --p 3 --num (z+1)^200+z --den (z+3)^40 --rho 1", "ldl: true"),
+        ("zeros --p 2 --poly (262144*z+262144)^200 --rho 1", "200"),
+        ("norm --p 2 --poly (262144*z+262144)^200 --rho 1", "-3400"),
+        ("pjf --p 2 --num (262144*z+262144)^200+z --den (262144*z+1)^200+1 --rhos=0,1",
+         "C = -3599"),
+        ("ldl --p 2 --num (262144*z+262144)^200 --den (262144*z+262144)^40 --rho 1",
+         "ldl: true")])
+    def test_large_quotients_and_valuations(self, capsys, command, out):
+        # no gcd of f's parts runs, and coefficients of p-adic valuation
+        # up to 3,600 are read in O(log v) divisions each
+        t0 = time.monotonic()
+        assert run(capsys, "padic", *command.split()) == (0, out + "\n", "")
+        assert time.monotonic() - t0 < 1
 
     @pytest.mark.parametrize("f_num, f_den, u_num, u_den", [
         ("(z+1)^40", "(z-2)^40", "(z+3)^40", "(2*z+5)^40"),

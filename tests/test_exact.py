@@ -1,12 +1,14 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from buchi.exact import (INFINITY, as_fraction, is_prime, is_square_int,
+from buchi.exact import (INFINITY, _int_valuation, as_fraction, is_prime, is_square_int,
                          is_square_rat, valuation, vanishes_on_grid)
+from helpers import loop_valuation
 
 isqrt = math.isqrt
 
@@ -77,6 +79,25 @@ class TestValuation:
     def test_addition_matches_products(self):
         assert valuation(24, 2) + valuation(0, 2) is valuation(24 * 0, 2)
         assert valuation(24, 2) + valuation(Fraction(5, 8), 2) == valuation(15, 2)
+
+    def test_matches_the_division_loop(self):
+        # every v up to 300, both signs, and p prime or not, with the
+        # powers of two and their neighbours for v's binary digits
+        rng = random.Random(13)
+        vs = [2 ** k + d for k in range(9) for d in (-1, 0, 1)]
+        for v in vs + [rng.randint(0, 300) for _ in range(3000)]:
+            p = rng.choice((2, 3, 4, 6, 7, 10, 262147, rng.randint(2, 2 ** 40)))
+            unit = rng.randint(1, 2 ** 64)
+            n = rng.choice((1, -1)) * unit * p ** v
+            assert _int_valuation(n, p) == loop_valuation(n, p), (n, p)
+
+    def test_high_valuation_in_few_divisions(self):
+        # the lowest coefficient of (262144*z + 262144)**200, v = 3600: the
+        # loop divides 3,600 times, the squaring ladder about 24 times
+        n = 262144 ** 200
+        t0 = time.perf_counter()
+        assert all(_int_valuation(n, 2) == 3600 for _ in range(100))
+        assert time.perf_counter() - t0 < 0.1
 
     @given(st.fractions(), st.fractions(), st.sampled_from([2, 3, 5, 7, 11]))
     def test_ultrametric(self, x, y, p):

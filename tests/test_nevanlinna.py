@@ -5,7 +5,7 @@ import pytest
 
 from buchi import nevanlinna
 from buchi.exact import INFINITY, valuation, vanishes_on_grid
-from buchi.nevanlinna import (INF, LDL_BUDGET, RADII_BUDGET, NewtonSegment,
+from buchi.nevanlinna import (INF, LDL_BUDGET, RADII_BUDGET, NewtonPolygon, NewtonSegment,
                               check_fmt, check_ldl, check_pjf, check_smt, count_zeros,
                               delta_identity, difference_identity,
                               gauss_log_norm, height_N, newton_polygon, prox_m)
@@ -105,6 +105,10 @@ class TestNewtonPolygon:
         # z^2 - p has two roots of valuation 1/2
         poly = newton_polygon(UPoly((-3, 0, 1)), 3)
         assert poly.segments == (NewtonSegment(Fraction(1, 2), 2),)
+
+    def test_slopes_must_increase_throughout(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            NewtonPolygon(tuple(NewtonSegment(Fraction(s), 1) for s in (0, 2, 1)))
 
 
 class TestCountZeros:
@@ -298,25 +302,23 @@ class TestLdl:
         assert check_ldl(Z ** 3, LDL_BUDGET, 3, 1)
         with pytest.raises(ValueError, match="resource guard"):
             check_ldl(Z ** 3, LDL_BUDGET + 1, 3, 1)
+        # z*(z+1)**2/(z+1)**2 is z, but its stored denominator has degree 2
+        square = UPoly((1, 2, 1))
+        with pytest.raises(ValueError, match="resource guard"):
+            check_ldl(RatFunc(UPoly.x() * square, square), LDL_BUDGET // 2 + 1, 3, 1)
 
-    def test_gcds_only_for_the_input(self, monkeypatch):
-        # the quotient f^(n)/f is never reduced: check_ldl runs the gcds
-        # of its input's canonical form and no more
+    def test_runs_no_gcd(self, monkeypatch):
+        # neither f nor the quotient f^(n)/f is reduced: the norm is
+        # multiplicative, and LDL_BUDGET weighs f's stored denominator
         calls = count_gcd_calls(monkeypatch)
         rng = random.Random(41)
         for _ in range(30):
             common = rand_upoly(rng, 2, nonzero=True)
             f = RatFunc(common * rand_upoly(rng, 4, nonzero=True),
                         common * rand_upoly(rng, 4, nonzero=True))
-            del calls[:]
-            RatFunc(*f.as_quotient()).num
-            needed = len(calls)
-            del calls[:]
             check_ldl(f, rng.randint(1, 3), rng.choice((2, 3, 5)), rng.randint(-3, 3))
-            assert len(calls) == needed == 1
-            del calls[:]
             check_ldl(f, 1, 3, 0)
-            assert calls == []
+        assert calls == []
 
     def test_randomized(self):
         rng = random.Random(19)
@@ -432,6 +434,62 @@ class TestSmt:
             grid = sorted({rand_fraction(rng, 4, 2) for _ in range(4)})
             report = check_smt(f, targets, p, grid or [0])
             assert report.passed
+
+
+class TestStoredParts:
+    """fmt, ldl, prox_m and is_constant read f as stored: on f = g*n/(g*d)
+    they answer as on the coprime parts, and run no gcd."""
+
+    @staticmethod
+    def cases(seed, count):
+        """count seeded (f, p, grid, a): f = g*n/(g*d) as stored, g of
+        degree 1 to 3, 12 radii or more, and every tenth f constant."""
+        rng = random.Random(seed)
+        for i in range(count):
+            common = rand_upoly(rng, 3, nonzero=True)
+            while common.degree < 1:
+                common = rand_upoly(rng, 3, nonzero=True)
+            den = rand_upoly(rng, 4, nonzero=True)
+            num = den * rand_fraction(rng) if i % 10 == 0 else rand_upoly(rng, 4)
+            grid = sorted({rand_fraction(rng, 9, 4) for _ in range(40)})[:16]
+            yield (RatFunc(common * num, common * den), rng.choice((2, 3, 5, 7)), grid,
+                   rand_fraction(rng, 6, 3))
+
+    @staticmethod
+    def answers(f, p, grid, a):
+        """What each of the four reads answers for f."""
+        out = [f.is_constant]
+        if not f.is_constant:
+            report = check_fmt(f, a, p, grid)
+            out.append((report.values, report.eventual_slope, report.passed))
+            out.append([prox_m(f, t, p, r) for t in (a, INF) for r in grid])
+        if not f.is_zero:
+            out.append([check_ldl(f, n, p, r) for n in (1, 2) for r in grid[::4]])
+        return out
+
+    def test_stored_parts_answer_as_the_coprime_parts(self, monkeypatch):
+        calls = count_gcd_calls(monkeypatch)
+        for f, p, grid, a in self.cases(83, 300):
+            num, den = f.as_quotient()
+            assert num.is_zero or num.gcd(den).degree >= 1
+            coprime = RatFunc(f.num, f.den)
+            stored = RatFunc(num, den)
+            del calls[:]
+            assert len(grid) >= 12
+            assert self.answers(stored, p, grid, a) == self.answers(coprime, p, grid, a)
+            assert calls == []
+
+    def test_stable_beyond_stays_a_bound(self):
+        # a common factor can only add kinks: stable_beyond may grow, and
+        # past it the defect is affine with the coprime slope
+        for f, p, grid, a in self.cases(83, 300):
+            if f.is_constant:
+                continue
+            stored = check_fmt(RatFunc(*f.as_quotient()), a, p, grid)
+            coprime = check_fmt(RatFunc(f.num, f.den), a, p, grid)
+            assert stored.stable_beyond >= coprime.stable_beyond
+            if stored.eventual_slope == 0:
+                assert stored.eventual_value == coprime.eventual_value
 
 
 # The first implementation's formulas, evaluated afresh at every radius:

@@ -57,6 +57,12 @@ class TestParser:
         with pytest.raises(ParseError):
             parse("   # nothing\n")
 
+    def test_value_expected_names_what_it_found(self):
+        for text, found in (("x = )", "')'"), ("x = ", "'end of input'")):
+            with pytest.raises(ParseError, match=re.escape(
+                    f"line 1, column 5: expected a value, found {found}")):
+                parse(text)
+
     def test_evaluate_matches_expansion(self):
         system = parse("(x - 2*y)^3 + x*y - 7 = x - 1")
         rng = random.Random(3)
@@ -520,6 +526,13 @@ class TestCompile:
         assert a.to_json() == b.to_json()
         assert a.to_text() == b.to_text()
 
+    def test_text_constants(self):
+        # a constant of exactly 1 is emitted, with its sign
+        assert compile_system(parse("x = 0 - 1"), m=5).to_text() == (
+            "# diagonal quadratic system (BP(Z,5))\n# variables: x _t0\n"
+            "linear: - _t0 + x = 0\nlinear: _t0 + 1 = 0\n")
+        assert "linear: _t0 - 1 = 0\n" in compile_system(parse("x = 0 + 1"), m=5).to_text()
+
     def test_metadata_banner(self):
         target = compile_system(parse("x*x = 9"), m=7)
         assert target.buchi_m == 7
@@ -845,6 +858,15 @@ class TestValidator:
                 known.add(step[1])
             assert len(dests) == len(set(dests)), text
             assert set(dests) == set(target.variables) - set(target.source_vars)
+
+    def test_square_with_one_undeclared_side(self):
+        target = compile_system(parse("x*x = 4"), m=5)
+        fields = {name: getattr(target, name) for name in TargetSystem.__slots__}
+        sq = target.squares[0]
+        for square in (SquareEq("ghost", sq.rhs), SquareEq(sq.lhs, "ghost")):
+            fields["squares"] = (square,) + target.squares[1:]
+            with pytest.raises(ValueError, match="square equation uses undeclared variables"):
+                validate_target(TargetSystem(**fields))
 
     def test_witness_reuse_detected(self):
         target = compile_system(parse("x*x = 4"), m=5)

@@ -5,12 +5,11 @@ from math import factorial
 import pytest
 
 from buchi.exact import is_square_int, is_square_rat
-from buchi.surfaces import (FAMILY_N_BUDGET, SCAN_HEIGHT_BUDGET, BuchiSurface, EvaluationNodes, MonicQuadratic,
-                            ProjectivePoint, conic_integrality_identity,
-                            contains, counterexample_family, f_of_point,
-                            j_of_f, jacobian_rank, scan_exceptional,
-                            square_iff_trivial, surface_equations,
-                            trivial_line_member)
+from buchi.surfaces import (FAMILY_N_BUDGET, SCAN_GRID_BUDGET, SCAN_HEIGHT_BUDGET, BuchiSurface,
+                            EvaluationNodes, MonicQuadratic, ProjectivePoint, _rank,
+                            conic_integrality_identity, contains, counterexample_family,
+                            f_of_point, j_of_f, jacobian_rank, scan_exceptional,
+                            square_iff_trivial, surface_equations, trivial_line_member)
 from helpers import rand_fraction
 
 
@@ -154,6 +153,13 @@ class TestJacobian:
     def test_classical_point(self):
         assert jacobian_rank(BuchiSurface((1, 2, 3)),
                              ProjectivePoint((1, 6, 23, 32, 39))) == 2
+
+    def test_rank_of_the_identity(self):
+        assert _rank([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]) == 2
+
+    def test_no_equations_rank_zero(self):
+        # one offset: X_2 is P^2, with no equations, so _rank sees no rows
+        assert jacobian_rank(BuchiSurface([1]), ProjectivePoint([1, 2, 3])) == 0
 
     def test_rejects_points_off_surface(self):
         with pytest.raises(ValueError):
@@ -330,6 +336,16 @@ class TestScan:
         scan_exceptional(EvaluationNodes((Fraction(1, 2), 1, 3)), 20)
         with pytest.raises(ValueError, match="SCAN_GRID_BUDGET"):
             scan_exceptional(EvaluationNodes((Fraction(1, 2 ** 130), 1, 3)), 20)
+
+    def test_integer_grid_budget_edge(self):
+        # (2**46 + 1)/2 weighs 1 + 49 // 8 = 7: at height 377 the 755**2 * 7
+        # integer pairs are within the budget, where a quick count of
+        # (2h + 2)**2 pairs would refuse them; height 378 is refused
+        nodes = EvaluationNodes((Fraction(2 ** 46 + 1, 2), 1, 3))
+        assert 755 ** 2 * 7 <= SCAN_GRID_BUDGET < 756 ** 2 * 7
+        assert isinstance(scan_exceptional(nodes, 377, integers_only=True), list)
+        with pytest.raises(ValueError, match=f"{757 ** 2 * 7} > SCAN_GRID_BUDGET"):
+            scan_exceptional(nodes, 378, integers_only=True)
 
     def test_needs_three_nodes(self):
         with pytest.raises(ValueError):

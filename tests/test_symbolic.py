@@ -324,9 +324,11 @@ class TestQuotientGcdGuard:
         assert calls == []
 
     def test_canonical_reads_refuse_before_the_gcd(self, monkeypatch):
+        # is_constant reads the stored parts, so it answers
         calls = count_gcd_calls(monkeypatch)
         f = RatFunc(self.NUM, self.DEN)
-        for read in (lambda: f.num, lambda: f.den, lambda: hash(f), lambda: f.is_constant):
+        assert not f.is_constant
+        for read in (lambda: f.num, lambda: f.den, lambda: hash(f)):
             with pytest.raises(ValueError, match=re.escape(
                     f"quotient gcd size {200 * 200 * 558} {self.REFUSED}")):
                 read()
@@ -419,6 +421,21 @@ class TestRatFunc:
         assert a == b and hash(a) == hash(b)
         assert a.den.lead == 1
         assert a.num.gcd(a.den).degree <= 0
+
+    def test_is_constant_on_stored_parts(self, monkeypatch):
+        # num * lc(den) == den * lc(num) on the parts as stored, against
+        # the canonical form's degrees, which the oracle reads first
+        rng = random.Random(29)
+        stored, expected = [], []
+        for _ in range(300):
+            common, den = rand_upoly(rng, 3, nonzero=True), rand_upoly(rng, 3, nonzero=True)
+            num = den * rand_fraction(rng) if rng.random() < 0.3 else rand_upoly(rng, 3)
+            f = RatFunc(common * num, common * den)
+            stored.append(RatFunc(*f.as_quotient()))
+            expected.append(f.num.degree <= 0 and f.den.degree == 0)
+        calls = count_gcd_calls(monkeypatch)
+        assert [f.is_constant for f in stored] == expected and calls == []
+        assert 50 < sum(expected) < 250
 
     def test_derivative_examples(self):
         z = RatFunc.x()
