@@ -118,7 +118,7 @@ def _ratfunc(args, num_attr: str = "num", den_attr: str = "den"):
 def _cmd_seq_search(args) -> None:
     from . import sequences
     results = sequences.search(args.length, args.bound)
-    values = [list(seq.values) for seq in results]
+    values = [seq.values for seq in results]
     payload = {"length": args.length, "bound": args.bound, "nontrivial": values}
     _emit(args, payload, lambda: "\n".join(",".join(map(str, vs)) for vs in values)
           or "no nontrivial sequences")

@@ -13,14 +13,15 @@ factorization e*f = a**2 - 1 with e < f and e = f (mod 2), giving
 x_2 = (e + f)/2, |b| = (f - e)/2 and x_1 = a -+ |b|.  The loop runs over
 the smaller factor e: for fixed e, f > e, x_2 <= bound and |b| <= a read
 a > e, a**2 <= 2*bound*e - e**2 + 1 and (a - e)**2 <= 2*e**2 + 1, and
-e | a**2 - 1 puts a on the square roots of 1 mod e, which a
-smallest-prime-factor sieve and the Chinese remainder theorem give.  So
-a search costs about the bound times the mean number of those roots,
-not the bound squared.  A sequence is trivial exactly when
-|x_1 - x_2| = 1 (its entries |nu + i| move by one, and the first two
-squares force the rest), so trivial pairs are dropped before the closed
-form extends the others, stopping at the first forced value that is not
-a square.
+e | a**2 - 1 puts a on the square roots of 1 mod e.  A table gives them
+for every odd modulus, each entry one Chinese remainder step from the
+entry of its cofactor, and one more step joins an even modulus's odd
+part to its power of 2.  So a search costs about the bound times the
+mean number of those roots, not the bound squared.  A sequence is
+trivial exactly when |x_1 - x_2| = 1 (its entries |nu + i| move by one,
+and the first two squares force the rest), so trivial pairs are dropped
+before the closed form extends the others, stopping at the first forced
+value that is not a square.
 
 Squares determine values up to sign, so sequences are canonicalized to
 nonnegative entries; reported counts are counts of square-sequences, not
@@ -35,7 +36,8 @@ from . import Record, guard
 
 # Largest bound search accepts (resource guard).  Time and memory grow
 # about linearly in the bound: search(3, 20000) builds 86,688 sequences
-# in about 0.3 s, search(5, 20000) takes 0.15 s (2-vCPU VM, CPython 3.11).
+# in about 0.4 s, search(5, 20000) takes 0.15 s, and `seq search --length
+# 3 --bound 20000` peaks at 40 MB of RSS (2-vCPU VM, CPython 3.11).
 SEARCH_BOUND_BUDGET = 20_000
 
 
@@ -130,24 +132,42 @@ def _smallest_prime_factors(n: int) -> list[int]:
     return spf
 
 
-def _roots_of_unity(m: int, spf: list[int]) -> list[int]:
-    """The residues r mod m with r*r = 1 (mod m), for m < len(spf): +-1 mod
-    each odd prime power of m, and {1}, {1, 3} or {+-1, 2**(k-1) +- 1} mod
-    2, 4 or 2**k (k >= 3), joined by the Chinese remainder theorem."""
-    roots, mod = [0], 1
-    while m > 1:
+def _crt(roots: list[int], m: int, residues, q: int) -> list[int]:
+    """The x mod m*q with x = r (mod m) and x = s (mod q), for coprime m
+    and q, each r in roots and s in residues."""
+    # x = r + m*((s - r)/m mod q)
+    inv = pow(m, -1, q)
+    return [r + m * ((s - r) * inv % q) for r in roots for s in residues]
+
+
+def _odd_roots_of_unity(n: int, spf: list[int]) -> list[list[int]]:
+    """Entry k holds the residues r mod m = 2k + 1 with r*r = 1 (mod m),
+    for m <= n < len(spf): the entry of m's cofactor c = m/q, q the power
+    of m's least prime in m, joined to +-1 mod q by one Chinese remainder
+    step."""
+    table = [[0]]
+    for m in range(3, n + 1, 2):
         p = q = spf[m]
-        m //= p
-        while m % p == 0:
-            m //= p
+        c = m // p
+        while c % p == 0:
+            c //= p
             q *= p
-        residues = ((1,) if q == 2 else (1, q - 1) if p > 2 or q == 4
-                    else (1, q // 2 - 1, q // 2 + 1, q - 1))
-        # x = r (mod mod) and x = s (mod q) at x = r + mod*((s - r)/mod mod q).
-        inv = pow(mod, -1, q)
-        roots = [r + mod * ((s - r) * inv % q) for r in roots for s in residues]
-        mod *= q
-    return roots
+        table.append(_crt(table[c >> 1], c, (1, q - 1), q))
+    return table
+
+
+def _roots_of_unity(m: int, odd: list[list[int]]) -> list[int]:
+    """The residues r mod m with r*r = 1 (mod m), from the table of
+    `_odd_roots_of_unity` for m's odd part o: for m = 2**k * o, its
+    entry joined by one Chinese remainder step to {1}, {1, 3} or
+    {+-1, 2**(k-1) +- 1} mod 2, 4 or 2**k (k >= 3)."""
+    two = m & -m
+    roots = odd[m // two >> 1]
+    if two == 1:
+        return roots
+    residues = ((1,) if two == 2 else (1, 3) if two == 4
+                else (1, two // 2 - 1, two // 2 + 1, two - 1))
+    return _crt(roots, m // two, residues, two)
 
 
 def search(length: int, bound: int) -> list[BuchiSequence]:
@@ -165,13 +185,14 @@ def search(length: int, bound: int) -> list[BuchiSequence]:
         raise ValueError("bound must be >= 1")
     guard("SEARCH_BOUND_BUDGET", bound, SEARCH_BOUND_BUDGET, "search bound")
 
-    spf = _smallest_prime_factors(2 * bound)
+    # 2e = 2**k * o with k >= 2 for even e, so every odd part is below bound
+    odd = _odd_roots_of_unity(bound, _smallest_prime_factors(bound))
     found: list[tuple[int, ...]] = []
     for e in range(1, bound):
         # f = (a**2 - 1)/e = e (mod 2): for odd e, a is even; for even e,
         # 2e divides a**2 - 1.  Either way a is fixed mod 2e.
-        starts = ([r if r % 2 == 0 else r + e for r in _roots_of_unity(e, spf)]
-                  if e % 2 else _roots_of_unity(2 * e, spf))
+        starts = ([r if r % 2 == 0 else r + e for r in odd[e >> 1]]
+                  if e % 2 else _roots_of_unity(2 * e, odd))
         step = 2 * e
         # top < 3e, so each class mod 2e holds at most one a > e below it.
         top = min(isqrt(step * bound - e * e + 1), e + isqrt(2 * e * e + 1))

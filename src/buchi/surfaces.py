@@ -19,13 +19,18 @@ from fractions import Fraction
 from math import factorial, isqrt
 
 from . import Record, guard
-from .exact import as_fraction, is_square_int, is_square_rat, vanishes_on_grid
+from .exact import as_fraction, is_square_rat, vanishes_on_grid
 
-# Largest scans accepted (resource guards), from in-process times on a
-# 2-vCPU VM (CPython 3.11): the integer-node scan at height 5000 takes up
-# to about 1.1 s, and a grid of 3.8*10**6 pairs (rational height 40)
-# 0.66 s.  A pair counts 1 + S // 8 times, S the most bits of a node's
-# numerator and denominator: at S = 3300 a pair costs 205, height 40 444 s.
+# Largest scans accepted (resource guards), sized for the scans before
+# the residue sieve, which took about 1.1 s at integer height 5000 and
+# 0.66 s on the grid of 3.8*10**6 pairs of rational height 40.  With the
+# sieve, in-process on a 2-vCPU VM (CPython 3.11), height 40 over nodes
+# 1/2, 1, 3 takes about 5 ms, integer height 5000 over 1, 2, 3, 4 about
+# 20 ms, and over 0, M, 2M (nodes congruent modulo every sieve prime)
+# about 50 ms.  A pair counts 1 + S // 8 times, S the most bits of a
+# node's numerator and denominator: where no sieve prime constrains a
+# pair, as on nodes whose denominators they all divide, every pair is
+# tested exactly, and at S = 3300 a pair costs 205 small ones.
 SCAN_HEIGHT_BUDGET = 5_000
 SCAN_GRID_BUDGET = 4_000_000
 # Largest N of the counterexample family accepted (resource guard): at
@@ -33,6 +38,12 @@ SCAN_GRID_BUDGET = 4_000_000
 # --json` prints 2 MB in about 0.3 s; from N = 780 on, (2N)! has more
 # digits than CPython converts to a string by default.
 FAMILY_N_BUDGET = 500
+# Odd primes of the scan's quadratic-residue sieve.  Of the sets 3..13
+# to 3..29, 3..19 stays within about 20% of the fastest at rational
+# heights 13 and 40 and integer heights 300 and 5000: 3..17 sieves too
+# little at the large heights (1.4-1.8 times slower), and each prime past
+# 19 costs more in tables than it saves at the small ones.
+SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19)
 
 
 class MonicQuadratic(Record):
@@ -297,15 +308,6 @@ def square_iff_trivial(nodes: EvaluationNodes, f: MonicQuadratic) -> tuple[bool,
     return (f.is_square, witness is not None)
 
 
-def _rationals_up_to(height: int) -> list[Fraction]:
-    """Reduced p/q with |p| <= height and 1 <= q <= height, ascending."""
-    vals = set()
-    for q in range(1, height + 1):
-        for p in range(-height, height + 1):
-            vals.add(Fraction(p, q))
-    return sorted(vals)
-
-
 def _grid_side(height: int, integers_only: bool) -> int:
     """How many values of height at most `height` the grid draws u and v
     from: 2h + 1 integers, or 0 and +-p/q for the 2*(phi(1) + ... +
@@ -320,39 +322,107 @@ def _grid_side(height: int, integers_only: bool) -> int:
     return 4 * sum(phi[1:]) - 1
 
 
-def _scan_integer_nodes(nodes: list[int], height: int) -> list[MonicQuadratic]:
-    found = []
-    for u in range(-height, height + 1):
-        bases = sorted((a * a + u * a for a in nodes), reverse=True)
-        top, rest = bases[0], bases[1:]
-        # v = s**2 - top over the squares s**2 in [top - height, top + height].
-        s = isqrt(max(0, top - height))
-        if s * s < top - height:
-            s += 1
-        while (v := s * s - top) <= height:
-            s += 1
-            if u * u != 4 * v and all(is_square_int(b + v) for b in rest):
-                found.append(MonicQuadratic(u, v))
-    return found
+def _reduced_values(height: int) -> list[tuple[int, int]]:
+    """Reduced (p, q) with |p| <= height and 1 <= q <= height, ascending
+    as p/q: the Farey fractions of order `height` in (0, 1), then 1 and
+    their reciprocals, mirrored through 0."""
+    low = []
+    a, b, c, d = 0, 1, 1, height
+    while c < d:
+        low.append((c, d))
+        k = (height + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+    pos = low + [(1, 1)] + [(q, p) for p, q in reversed(low)]
+    return [(-p, q) for p, q in reversed(pos)] + [(0, 1)] + pos
 
 
-def _scan_grid(nodes: tuple[Fraction, ...], values: list[Fraction]) -> list[MonicQuadratic]:
-    # n/d + p/q is a rational square iff (n*q + p*d)*d*q is a square.
-    pairs = [(v, v.numerator, v.denominator) for v in values]
+def _sieve_tables(nodes: list[tuple[int, int]], values: list[tuple[int, int]],
+                  integers: bool) -> list[tuple[bytes, list[int]]]:
+    """For each sieve prime l, the residue code of every value (p/q mod l,
+    or l when l divides q) and, by the code of u, the bitset of the v
+    for which v + a**2 + u*a is 0 or a square mod l at every node a whose
+    denominator l does not divide.  A value or u whose denominator l
+    divides is left unconstrained."""
+    tables = []
+    for l in SIEVE_PRIMES:
+        inv = [0] + [pow(x, -1, l) for x in range(1, l)]
+        if integers:  # consecutive integers: the codes repeat with period l
+            first = values[0][0]
+            codes = (bytes(k % l for k in range(first, first + l))
+                     * (len(values) // l + 1))[:len(values)]
+        else:
+            codes = bytes(p * inv[q % l] % l if q % l else l for p, q in values)
+        squares = {x * x % l for x in range(l)}
+        allowed = []
+        for beta in range(l):
+            # digit 1 at the codes r with r + beta 0 or a square mod l, and at l
+            keep = bytes(ord("0") + ((r + beta) % l in squares) for r in range(l))
+            # int() reads the first digit as the highest bit: value j is bit j
+            allowed.append(int(codes.translate(keep + b"1" * (256 - l))[::-1], 2))
+        alphas = [an * inv[ad % l] % l for an, ad in nodes if ad % l]
+        by_u = []
+        for r in range(l):
+            mask = -1
+            for alpha in alphas:
+                mask &= allowed[(alpha * alpha + r * alpha) % l]
+            by_u.append(mask)
+        by_u.append(-1)
+        tables.append((codes, by_u))
+    return tables
+
+
+def _scan(nodes: tuple[Fraction, ...], height: int, integers_only: bool) -> list[MonicQuadratic]:
+    """scan_exceptional past its guards.  On integer nodes and values,
+    v = s**2 - top over the squares s**2 in [top - height, top + height],
+    top the largest node value, when they are fewer than the mask's bits."""
+    values = ([(k, 1) for k in range(-height, height + 1)]
+              if integers_only else _reduced_values(height))
+    pairs = [(a.numerator, a.denominator) for a in nodes]
+    window = integers_only and all(ad == 1 for _, ad in pairs)
+    tables = _sieve_tables(pairs, values, integers_only)
+    ones = (1 << len(values)) - 1
     found = []
-    for u in values:
-        bases = [(b.numerator, b.denominator) for b in (a * a + u * a for a in nodes)]
-        square = u * u / 4  # v = u**2/4 makes f a square polynomial
-        sn, sd = square.numerator, square.denominator
-        for v, p, q in pairs:
-            if p == sn and q == sd:
+    for j, (up, uq) in enumerate(values):
+        mask = ones
+        for codes, by_u in tables:
+            mask &= by_u[codes[j]]
+        if not mask:
+            continue
+        # a**2 + u*a = n/d for a = an/ad, with d > 0
+        bases = [(an * (an * uq + up * ad), ad * ad * uq) for an, ad in pairs]
+        if window:
+            top = max(n for n, _ in bases)
+            s = isqrt(top - height - 1) + 1 if top > height else 0
+            last = isqrt(top + height) if top + height >= 0 else -1
+        count = mask.bit_count()
+        if window and last - s < count:
+            survivors = [i for i in (t * t - top + height for t in range(s, last + 1))
+                         if mask >> i & 1]
+        elif 5 * count > len(values):
+            # a mask the sieve barely thinned, as on nodes whose denominators
+            # every sieve prime divides: read its binary digits once, where
+            # taking bits one by one would cost a pass over the mask each
+            survivors = [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+        else:
+            survivors = []
+            while mask:
+                low = mask & -mask
+                survivors.append(low.bit_length() - 1)
+                mask ^= low
+        # v = u**2/4 in lowest terms makes f the square (x + u/2)**2
+        square = (up * up // 4, uq * uq) if up % 2 == 0 else (up * up, 4 * uq * uq)
+        # v = p/q; n/d + p/q is a rational square iff (n*q + p*d)*d*q is one
+        for i in survivors:
+            v = values[i]
+            if v == square:
                 continue
+            p, q = v
             for n, d in bases:
                 x = (n * q + p * d) * d * q
                 if x < 0 or isqrt(x) ** 2 != x:
                     break
             else:
-                found.append(MonicQuadratic(u, v))
+                found.append(MonicQuadratic(Fraction(up, uq), Fraction(p, q)))
     return found
 
 
@@ -366,12 +436,20 @@ def scan_exceptional(nodes: EvaluationNodes, height: int,
     ascending (u, v) order; no finiteness or completeness beyond the
     bound is implied.
 
-    With integers_only and integer nodes, each u takes v from the squares
-    near its largest node value, about O(height**1.5) work in all, and
-    refuses heights above SCAN_HEIGHT_BUDGET.  Otherwise it tests the
-    (u, v) grid on integer numerators and denominators, O(height**2)
-    pairs for integers and O(height**4) for rationals, and refuses grids
-    of more than SCAN_GRID_BUDGET pairs, weighted by node bits (both guards).
+    u and v run over the 2h + 1 integers with integers_only, and over
+    the reduced p/q with |p|, q <= height otherwise.  For each u, one
+    bitset per prime of SIEVE_PRIMES keeps the v for which every node
+    value is 0 or a square modulo that prime (a denominator the prime
+    divides gives no constraint), and only the v in every bitset get the
+    exact isqrt test.  On integer nodes with integers_only, the squares
+    near the largest node value give the v to test instead when they are
+    fewer.  So no scan makes more exact tests than the grid has pairs,
+    nor, on integer nodes, than there are such squares (O(height**1.5)
+    in all); the bitsets add O(height**2) bit operations, a machine word
+    at a time.
+    Refuses integer-node heights above SCAN_HEIGHT_BUDGET, and otherwise
+    grids of more than SCAN_GRID_BUDGET pairs, weighted by node bits
+    (both guards).
     """
     if len(nodes) < 3:
         raise ValueError("scan needs at least 3 nodes")
@@ -380,7 +458,7 @@ def scan_exceptional(nodes: EvaluationNodes, height: int,
     node_list = nodes.nodes
     if integers_only and all(a.denominator == 1 for a in node_list):
         guard("SCAN_HEIGHT_BUDGET", height, SCAN_HEIGHT_BUDGET, "scan height")
-        return _scan_integer_nodes([a.numerator for a in node_list], height)
+        return _scan(node_list, height, True)
     # Every grid holds the (2h + 1)**2 integer pairs; only a grid within
     # the budget by that count is counted exactly, so the count stays cheap.
     weight = 1 + max(a.numerator.bit_length() + a.denominator.bit_length()
@@ -389,9 +467,7 @@ def scan_exceptional(nodes: EvaluationNodes, height: int,
     if pairs <= SCAN_GRID_BUDGET:
         pairs = _grid_side(height, integers_only) ** 2 * weight
     guard("SCAN_GRID_BUDGET", pairs, SCAN_GRID_BUDGET, "weighted scan grid pairs")
-    values = ([Fraction(k) for k in range(-height, height + 1)]
-              if integers_only else _rationals_up_to(height))
-    return _scan_grid(node_list, values)
+    return _scan(node_list, height, integers_only)
 
 
 def counterexample_family(N: int) -> tuple[MonicQuadratic, list[int], list[int]]:

@@ -5,11 +5,13 @@ from itertools import product
 from math import isqrt
 
 from buchi import guard
+from buchi.exact import is_square_int
 from buchi.reduction.compiler import CHECK_WORK_BUDGET, W_BOUND_BUDGET, EquisatReport
 from buchi.reduction.lower import eliminate_mul, lower_tac
 from buchi.reduction.parser import (_SYMBOLS, MAX_CONSTANT_BITS, MAX_TOKENS, Num, ParseError,
                                     Pow, Product, Sum, Token, Var, bounded_pow)
 from buchi.sequences import BuchiSequence, _smallest_prime_factors, closed_form, search
+from buchi.surfaces import MonicQuadratic
 from buchi.symbolic import RatFunc, UPoly
 
 
@@ -191,6 +193,26 @@ def factor_pair_search(length: int, bound: int) -> list[BuchiSequence]:
                 else:
                     found.append(BuchiSequence(values))
     found.sort(key=lambda seq: seq.values)
+    return found
+
+
+def scan_integer_nodes(nodes: list[int], height: int) -> list[MonicQuadratic]:
+    """surfaces.scan_exceptional on integer nodes with integers_only, as
+    it ran before the residue sieve, kept as its fast oracle: for each u,
+    v = s**2 - top over the squares s**2 in [top - height, top + height],
+    top the largest node value, and each other value tested with
+    is_square_int."""
+    found = []
+    for u in range(-height, height + 1):
+        bases = sorted((a * a + u * a for a in nodes), reverse=True)
+        top, rest = bases[0], bases[1:]
+        s = isqrt(max(0, top - height))
+        if s * s < top - height:
+            s += 1
+        while (v := s * s - top) <= height:
+            s += 1
+            if u * u != 4 * v and all(is_square_int(b + v) for b in rest):
+                found.append(MonicQuadratic(u, v))
     return found
 
 

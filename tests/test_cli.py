@@ -139,6 +139,17 @@ class TestSurface:
             assert code == 1 and out == "" and "(resource guard)" in err
             assert time.monotonic() - t0 < 1
 
+    # --json stdout at the two budget edges, pinned from the grid and the
+    # square window the scan ran before its residue sieve
+    @pytest.mark.parametrize("argv, golden", [
+        (["--nodes=1/2,1,3", "--height", "40"], "scan.half13.h40.json"),
+        (["--nodes", "1,2,3,4", "--height", "5000", "--integers-only"], "scan.1234.h5000.json"),
+    ])
+    def test_scan_golden_json(self, capsys, argv, golden):
+        code, out, err = run(capsys, "surface", "scan", *argv, "--json")
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
     def test_family(self, capsys):
         payload = run_json(capsys, "surface", "family", "--N", "2", "--json")
         assert payload["f"] == {"u": "0", "v": "-96"}

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from buchi.sequences import (SEARCH_BOUND_BUDGET, BuchiSequence, _roots_of_unity,
-                             _smallest_prime_factors, classify_trivial, closed_form,
-                             is_buchi, search, second_difference)
+from buchi.sequences import (SEARCH_BOUND_BUDGET, BuchiSequence, _odd_roots_of_unity,
+                             _roots_of_unity, _smallest_prime_factors, classify_trivial,
+                             closed_form, is_buchi, search, second_difference)
 from helpers import factor_pair_search
 
 
@@ -239,20 +239,24 @@ class TestSearch:
 
 class TestKernelHelpers:
     def test_roots_of_unity_match_brute_force(self):
-        # r*r = 1 (mod m) read as m | r*r - 1, so that mod 1 the root is 0
-        spf = _smallest_prime_factors(3000)
+        # r*r = 1 (mod m) read as m | r*r - 1, so that mod 1 the root is 0;
+        # the table holds odd m, and even m take one step from their odd part
+        odd = _odd_roots_of_unity(3000, _smallest_prime_factors(3000))
+        assert len(odd) == 1500
         for m in range(1, 3001):
-            assert sorted(_roots_of_unity(m, spf)) == \
-                [r for r in range(m) if (r * r - 1) % m == 0], m
+            expected = [r for r in range(m) if (r * r - 1) % m == 0]
+            if m % 2:
+                assert sorted(odd[m >> 1]) == expected, m
+            assert sorted(_roots_of_unity(m, odd)) == expected, m
 
     def test_roots_of_unity_at_powers_of_two(self):
-        spf = _smallest_prime_factors(3000)
-        assert _roots_of_unity(1, spf) == [0]
-        assert _roots_of_unity(2, spf) == [1]
-        assert sorted(_roots_of_unity(4, spf)) == [1, 3]
-        assert sorted(_roots_of_unity(8, spf)) == [1, 3, 5, 7]
+        odd = _odd_roots_of_unity(3000, _smallest_prime_factors(3000))
+        assert _roots_of_unity(1, odd) == [0]
+        assert _roots_of_unity(2, odd) == [1]
+        assert sorted(_roots_of_unity(4, odd)) == [1, 3]
+        assert sorted(_roots_of_unity(8, odd)) == [1, 3, 5, 7]
         # 2**k * odd: four roots mod 8 times four mod 15
-        assert sorted(_roots_of_unity(8 * 15, spf)) == \
+        assert sorted(_roots_of_unity(8 * 15, odd)) == \
             [1, 11, 19, 29, 31, 41, 49, 59, 61, 71, 79, 89, 91, 101, 109, 119]
 
     def test_certified_checks_every_second_difference(self):

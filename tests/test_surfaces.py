@@ -1,16 +1,19 @@
 import random
+import time
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from buchi.exact import is_square_int, is_square_rat
-from buchi.surfaces import (FAMILY_N_BUDGET, SCAN_GRID_BUDGET, SCAN_HEIGHT_BUDGET, BuchiSurface,
-                            EvaluationNodes, MonicQuadratic, ProjectivePoint, _rank,
-                            conic_integrality_identity, contains, counterexample_family,
-                            f_of_point, j_of_f, jacobian_rank, scan_exceptional,
-                            square_iff_trivial, surface_equations, trivial_line_member)
-from helpers import rand_fraction
+from buchi import surfaces
+from buchi.surfaces import (FAMILY_N_BUDGET, SCAN_GRID_BUDGET, SCAN_HEIGHT_BUDGET, SIEVE_PRIMES,
+                            BuchiSurface, EvaluationNodes, MonicQuadratic, ProjectivePoint,
+                            _rank, _reduced_values, conic_integrality_identity, contains,
+                            counterexample_family, f_of_point, j_of_f, jacobian_rank,
+                            scan_exceptional, square_iff_trivial, surface_equations,
+                            trivial_line_member)
+from helpers import rand_fraction, scan_integer_nodes
 
 
 def grid_scan(nodes, height, integers_only=False):
@@ -350,6 +353,124 @@ class TestScan:
     def test_needs_three_nodes(self):
         with pytest.raises(ValueError):
             scan_exceptional(EvaluationNodes((0, 1)), 5)
+
+
+def square_at(w, D, ks):
+    """Nodes a = (k + D/k)/2 - w, one for each k: (a + w)**2 - D is then
+    ((k - D/k)/2)**2, so x**2 + 2*w*x + w*w - D is square at each."""
+    return EvaluationNodes([(k + D / k) / 2 - w for k in ks])
+
+
+class TestSieve:
+    # M is divisible by every sieve prime, so the nodes 0, M and 2M are
+    # congruent modulo each: no residue rules a v out, and every row of
+    # the mask survives
+    CONGRUENT = (0, 111_546_435, 223_092_870)
+
+    def test_reduced_values_match_fraction_set(self):
+        for height in (1, 2, 3, 7, 13, 40):
+            expected = sorted({Fraction(p, q) for q in range(1, height + 1)
+                               for p in range(-height, height + 1)})
+            assert [Fraction(p, q) for p, q in _reduced_values(height)] == expected
+
+    def test_denominators_divisible_by_each_sieve_prime(self, monkeypatch):
+        # every sieve prime l divides a node denominator and that of a
+        # planted u = 2/l, with v = m/l or v an integer; the Fraction grid
+        # (for l <= 7) and the kernel with no sieve prime are the oracles
+        rng = random.Random(3)
+        cases = []
+        for l in SIEVE_PRIMES:
+            # k = 1/l gives the node -v*l/2, a multiple of l, where f is
+            # square though v is not a square mod l
+            residues = {x * x % l for x in range(l)}
+            for v in (Fraction(rng.choice([m for m in range(-l, l + 1) if m % l]), l),
+                      Fraction(rng.choice([m for m in range(-l, l + 1) if m % l not in residues]))):
+                w = Fraction(1, l)
+                ks = [Fraction(1, l)] + rng.sample([Fraction(l), Fraction(2 * l), Fraction(l, 2),
+                                                    Fraction(3), Fraction(-1), Fraction(2, 3)], 2)
+                nodes = square_at(w, w * w - v, ks)
+                assert any(a.denominator % l == 0 for a in nodes.nodes)
+                found = scan_exceptional(nodes, l)
+                assert MonicQuadratic(2 * w, v) in found, (l, v)
+                if l <= 7:
+                    assert found == grid_scan(nodes, l), (l, v)
+                cases.append((nodes, l, found))
+        monkeypatch.setattr(surfaces, "SIEVE_PRIMES", ())
+        for nodes, height, found in cases:
+            assert scan_exceptional(nodes, height) == found, height
+
+    def test_square_window_without_the_sieve(self, monkeypatch):
+        # with no sieve prime every mask is full, so each integer-node scan
+        # walks its squares; the node sets with a candidate at v just
+        # below -height and just above height pin both ends of the window
+        monkeypatch.setattr(surfaces, "SIEVE_PRIMES", ())
+        hits = 0
+        cases = [((1, 2, 3, 4), 500), ((0, 1, 3), 60), ((-3, -2, 5), 150),
+                 ((-4, -6, 8), 20), ((-7, 7, -5), 20), ((8, 3, 5), 60), ((4, 5, 2), 150),
+                 ((-1000, 3, 7), 200)]
+        for ints, height in cases:
+            for h in (height - 1, height, height + 1):
+                found = scan_exceptional(EvaluationNodes(ints), h, integers_only=True)
+                assert found == scan_integer_nodes(list(ints), h), (ints, h)
+                hits += len(found)
+        assert hits >= 30
+
+    def test_integers_only_with_rational_nodes(self):
+        rng = random.Random(29)
+        hits = 0
+        for _ in range(8):
+            w, D = rng.randint(-3, 3), rng.choice([d for d in range(-9, 10) if d])
+            dens = rng.sample((1, 2, 3, 4, 5, 6, 7, 9, 11, 13, 17, 19), 3)
+            ks = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), q) for q in dens]
+            if len({(k + D / k) for k in ks}) < 3:
+                continue
+            nodes = square_at(Fraction(w), Fraction(D), ks)
+            height = rng.randint(20, 50)
+            found = scan_exceptional(nodes, height, integers_only=True)
+            assert MonicQuadratic(2 * w, w * w - D) in found
+            assert found == grid_scan(nodes, height, True), (nodes, height)
+            hits += len(found)
+        assert hits >= 6
+
+    def test_nodes_of_hundreds_of_bits(self):
+        rng = random.Random(41)
+        hits = 0
+        for _ in range(3):
+            w, D = rng.randint(-2, 2), rng.choice((-3, -2, -1, 1, 2, 3))
+            ks = [Fraction(rng.getrandbits(300) | 1, rng.getrandbits(200) | 1) for _ in range(3)]
+            nodes = square_at(Fraction(w), Fraction(D), ks)
+            assert min(a.numerator.bit_length() for a in nodes.nodes) > 200
+            found = scan_exceptional(nodes, 5)
+            assert MonicQuadratic(2 * w, w * w - D) in found
+            assert found == grid_scan(nodes, 5)
+            found_int = scan_exceptional(nodes, 12, integers_only=True)
+            assert found_int == grid_scan(nodes, 12, True)
+            hits += len(found) + len(found_int)
+        assert hits >= 3
+        # integer nodes this large leave only square f below the height
+        for ints in ((0, 1, 2 ** 300 + 7), (-(3 ** 200), 5, 2 ** 400)):
+            nodes = EvaluationNodes(ints)
+            assert scan_exceptional(nodes, 300, integers_only=True) == \
+                scan_integer_nodes(list(ints), 300) == []
+
+    def test_congruent_nodes_fast(self):
+        # no non-square f of height <= 5000 is square at 0, M and 2M, so
+        # this test pins time and agreement, not hits
+        assert all(self.CONGRUENT[1] % l == 0 for l in SIEVE_PRIMES)
+        nodes = EvaluationNodes(self.CONGRUENT)
+        t0 = time.monotonic()
+        found = scan_exceptional(nodes, SCAN_HEIGHT_BUDGET, integers_only=True)
+        assert time.monotonic() - t0 < 1
+        assert found == scan_integer_nodes(list(self.CONGRUENT), SCAN_HEIGHT_BUDGET) == []
+
+    def test_integer_nodes_at_the_budget(self):
+        hits = 0
+        for ints in ((1, 2, 3, 4), (-1, 6, 0)):
+            found = scan_exceptional(EvaluationNodes(ints), SCAN_HEIGHT_BUDGET,
+                                     integers_only=True)
+            assert found == scan_integer_nodes(list(ints), SCAN_HEIGHT_BUDGET), ints
+            hits += len(found)
+        assert hits >= 10
 
 
 class TestCounterexampleFamily:
