@@ -25,8 +25,8 @@ from .exact import as_fraction, is_square_rat, vanishes_on_grid
 # the residue sieve, which took about 1.1 s at integer height 5000 and
 # 0.66 s on the grid of 3.8*10**6 pairs of rational height 40.  With the
 # sieve, in-process on a 2-vCPU VM (CPython 3.11), height 40 over nodes
-# 1/2, 1, 3 takes about 5 ms, integer height 5000 over 1, 2, 3, 4 about
-# 20 ms, and over 0, M, 2M (nodes congruent modulo every sieve prime)
+# 1/2, 1, 3 takes about 6 ms, integer height 5000 over 1, 2, 3, 4 about
+# 25 ms, and over 0, M, 2M (nodes congruent modulo every sieve prime)
 # about 50 ms.  A pair counts 1 + S // 8 times, S the most bits of a
 # node's numerator and denominator: where no sieve prime constrains a
 # pair, as on nodes whose denominators they all divide, every pair is
@@ -336,8 +336,8 @@ def _reduced_values(height: int) -> list[tuple[int, int]]:
     return [(-p, q) for p, q in reversed(pos)] + [(0, 1)] + pos
 
 
-def _sieve_tables(nodes: list[tuple[int, int]], values: list[tuple[int, int]],
-                  integers: bool) -> list[tuple[bytes, list[int]]]:
+def _sieve_tables(nodes: list[tuple[int, int]],
+                  values: list[tuple[int, int]]) -> list[tuple[bytes, list[int]]]:
     """For each sieve prime l, the residue code of every value (p/q mod l,
     or l when l divides q) and, by the code of u, the bitset of the v
     for which v + a**2 + u*a is 0 or a square mod l at every node a whose
@@ -346,12 +346,7 @@ def _sieve_tables(nodes: list[tuple[int, int]], values: list[tuple[int, int]],
     tables = []
     for l in SIEVE_PRIMES:
         inv = [0] + [pow(x, -1, l) for x in range(1, l)]
-        if integers:  # consecutive integers: the codes repeat with period l
-            first = values[0][0]
-            codes = (bytes(k % l for k in range(first, first + l))
-                     * (len(values) // l + 1))[:len(values)]
-        else:
-            codes = bytes(p * inv[q % l] % l if q % l else l for p, q in values)
+        codes = bytes(p * inv[q % l] % l if q % l else l for p, q in values)
         squares = {x * x % l for x in range(l)}
         allowed = []
         for beta in range(l):
@@ -379,7 +374,7 @@ def _scan(nodes: tuple[Fraction, ...], height: int, integers_only: bool) -> list
               if integers_only else _reduced_values(height))
     pairs = [(a.numerator, a.denominator) for a in nodes]
     window = integers_only and all(ad == 1 for _, ad in pairs)
-    tables = _sieve_tables(pairs, values, integers_only)
+    tables = _sieve_tables(pairs, values)
     ones = (1 << len(values)) - 1
     found = []
     for j, (up, uq) in enumerate(values):
@@ -394,21 +389,17 @@ def _scan(nodes: tuple[Fraction, ...], height: int, integers_only: bool) -> list
             top = max(n for n, _ in bases)
             s = isqrt(top - height - 1) + 1 if top > height else 0
             last = isqrt(top + height) if top + height >= 0 else -1
-        count = mask.bit_count()
-        if window and last - s < count:
+        if window and last - s < mask.bit_count():
             survivors = [i for i in (t * t - top + height for t in range(s, last + 1))
                          if mask >> i & 1]
-        elif 5 * count > len(values):
-            # a mask the sieve barely thinned, as on nodes whose denominators
-            # every sieve prime divides: read its binary digits once, where
-            # taking bits one by one would cost a pass over the mask each
-            survivors = [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
         else:
+            # bit i of the mask is digit i of its binary digits reversed
+            digits = bin(mask)[:1:-1]
             survivors = []
-            while mask:
-                low = mask & -mask
-                survivors.append(low.bit_length() - 1)
-                mask ^= low
+            i = digits.find("1")
+            while i >= 0:
+                survivors.append(i)
+                i = digits.find("1", i + 1)
         # v = u**2/4 in lowest terms makes f the square (x + u/2)**2
         square = (up * up // 4, uq * uq) if up % 2 == 0 else (up * up, 4 * uq * uq)
         # v = p/q; n/d + p/q is a rational square iff (n*q + p*d)*d*q is one

@@ -415,6 +415,18 @@ class TestSieve:
                 hits += len(found)
         assert hits >= 30
 
+    def test_hits_at_both_ends_of_the_values(self):
+        # v = -height is bit 0 of every mask and v = height its top bit
+        cases = [((-4, -3, 5), 6, MonicQuadratic(Fraction(1, 4), -6)),
+                 ((-4, -2, Fraction(-3, 2)), 9, MonicQuadratic(Fraction(-9, 2), -9)),
+                 ((-4, -2, Fraction(-3, 2)), 7, MonicQuadratic(Fraction(7, 2), 7)),
+                 ((-4, -2, Fraction(-4, 3)), 8, MonicQuadratic(6, 8))]
+        for ns, height, f in cases:
+            nodes = EvaluationNodes(ns)
+            found = scan_exceptional(nodes, height)
+            assert f in found, (ns, height)
+            assert found == grid_scan(nodes, height), (ns, height)
+
     def test_integers_only_with_rational_nodes(self):
         rng = random.Random(29)
         hits = 0
